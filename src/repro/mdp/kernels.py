@@ -16,26 +16,42 @@ library.  Two observations drive it:
    (``rows = policy * N + arange(N)``) instead of a
    ``diags(mask) @ P_a`` product per action.
 
-2. **One LU factorization serves every evaluation of a policy.**  The
-   average-reward evaluation system
+2. **One reward-independent system serves every evaluation of a
+   policy**, and for the paper's attack MDPs that system is
+   triangular.  Every block race ends back at the base state, so once
+   the transitions into ``start`` are removed, the union of all
+   actions' transition graphs is acyclic
+   (:meth:`BellmanKernel.renewal_order` finds an order in which every
+   such transition points to an earlier state).  Zeroing the ``start``
+   column of ``P_pi`` then leaves ``M = I - P~`` unit lower-triangular
+   in that order, and renewal at ``start`` evaluates the policy with
+   triangular solves only -- no factorization and no fill:
+
+   .. code-block:: text
+
+       x = M^-1 r_pi    y = M^-1 1    (expected steps to reach start)
+       g = x[start] / y[start]        h = x - g y   (h[start] = 0)
+       pi = M^-T e_start, normalized  (expected visits per cycle)
+
+   MDPs whose graph keeps a cycle (Bitcoin selfish mining with double
+   spending, whose ``start`` is never re-entered, and generic test
+   models) use the bordered average-reward system instead
 
    .. code-block:: text
 
        A = [ I - P_pi   1 ]        A [h; g] = [r_pi; 0]
            [ e_start^T  0 ]
 
-   depends only on the *policy*, not on the reward, so its sparse LU
-   factorization can be reused across the dozens of transformed rewards
-   that a Dinkelbach/bisection ratio solve evaluates.  Better still, the
-   stationary distribution of ``P_pi`` is the solution of the
-   *transposed* system with right-hand side ``e_{n}`` (writing
-   ``A^T [y; c] = e_n`` gives ``(I - P_pi)^T y = -c e_start`` and
-   ``sum(y) = 1``; multiplying the first block by the all-ones vector
-   forces ``c = 0`` because ``(I - P_pi) 1 = 0`` for a row-stochastic
-   ``P_pi``, hence ``y`` *is* the stationary distribution).  SuperLU
-   solves transposed systems from the same factorization, so gain, bias,
-   stationary distribution and every per-channel rate of a policy cost
-   one factorization total.
+   with one sparse LU factorization per policy; its stationary
+   distribution is the solution of the *transposed* system with
+   right-hand side ``e_{n}`` (writing ``A^T [y; c] = e_n`` gives
+   ``(I - P_pi)^T y = -c e_start`` and ``sum(y) = 1``; multiplying the
+   first block by the all-ones vector forces ``c = 0`` because
+   ``(I - P_pi) 1 = 0`` for a row-stochastic ``P_pi``, hence ``y`` *is*
+   the stationary distribution).  On either path gain, bias,
+   stationary distribution and every per-channel rate of a policy
+   cost one system set-up total, reused across the dozens of
+   transformed rewards a Dinkelbach/bisection ratio solve evaluates.
 
 :class:`PolicyEvalCache` memoizes both facts per policy (keyed by
 ``policy.tobytes()``) on behalf of
@@ -48,10 +64,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.sparse import linalg as sla
 
 from repro.errors import MDPError, SolverError
@@ -77,10 +95,48 @@ class BellmanKernel:
     def __init__(self, mdp) -> None:
         self.n_states = mdp.n_states
         self.n_actions = mdp.n_actions
+        self.start = mdp.start
         self.stack = sparse.vstack(mdp.transition, format="csr")
         self.available = mdp.available
         self._all_available = bool(mdp.available.all())
         self._rows = np.arange(mdp.n_states)
+
+    @cached_property
+    def _renewal_rank(self) -> Optional[np.ndarray]:
+        """Position of every state in the renewal order (see
+        :meth:`renewal_order`), or ``None`` when there is none.
+
+        Computed once per kernel and independent of rewards.  The
+        union graph of all actions minus the edges into ``start`` goes
+        through strongly connected components; their labels (sinks
+        first) are accepted as the order only if every edge then
+        points strictly backwards, which also rules out self-loops.
+        """
+        n = self.n_states
+        stack = self.stack
+        src = np.repeat(np.arange(stack.shape[0]) % n,
+                        np.diff(stack.indptr))
+        dst = stack.indices
+        keep = (dst != self.start) & (stack.data != 0)
+        src, dst = src[keep], dst[keep]
+        graph = sparse.csr_matrix(
+            (np.ones(src.size, dtype=bool), (src, dst)), shape=(n, n))
+        _, labels = csgraph.connected_components(
+            graph, directed=True, connection="strong")
+        return labels if np.all(labels[dst] < labels[src]) else None
+
+    def renewal_order(self) -> Optional[np.ndarray]:
+        """The states ordered so that every transition not into
+        ``start`` goes to an earlier state, or ``None`` when the union
+        of all actions' transition graphs keeps a cycle (a self-loop
+        included) after the transitions into ``start`` are removed.
+
+        When it exists, every policy's chain returns to ``start`` from
+        every state and :class:`PolicyEvalCache` evaluates it by
+        triangular renewal solves instead of an LU factorization.
+        """
+        rank = self._renewal_rank
+        return None if rank is None else np.argsort(rank)
 
     def q_values(self, reward: np.ndarray, values: np.ndarray,
                  discount: float = 1.0) -> np.ndarray:
@@ -179,8 +235,10 @@ def greedy_policy_from_q(q: np.ndarray) -> np.ndarray:
 class EvalCacheStats:
     """Hit/miss counters of a :class:`PolicyEvalCache`.
 
-    ``factorizations`` counts actual sparse LU factorizations -- the
-    expensive operation the cache exists to avoid.
+    ``factorizations`` counts evaluation-system set-ups, one per
+    distinct policy: a sparse LU factorization of the bordered system,
+    or the assembly of the triangular renewal system -- the expensive
+    operation the cache exists to avoid.
     """
 
     policy_hits: int = 0
@@ -206,71 +264,148 @@ class EvalCacheStats:
 
 class _PolicyStructure:
     """Reward-independent artifacts of one policy: the induced matrix,
-    its evaluation-system LU factorization and the stationary
+    its evaluation system (set up once) and the stationary
     distribution.  Shareable between MDPs that differ only in reward
-    channels."""
+    channels.  Subclasses supply the system and its solves."""
 
-    __slots__ = ("policy", "p_pi", "start", "_lu", "_pi")
+    __slots__ = ("policy", "p_pi", "start", "_system", "_pi")
 
     def __init__(self, policy: np.ndarray, p_pi: sparse.csr_matrix,
                  start: int) -> None:
         self.policy = policy
         self.p_pi = p_pi
         self.start = start
-        self._lu = None
+        self._system = None
         self._pi: Optional[np.ndarray] = None
 
-    def lu(self, stats: EvalCacheStats):
-        if self._lu is None:
-            n = self.p_pi.shape[0]
-            eye = sparse.identity(n, format="csr")
-            ones = sparse.csr_matrix(np.ones((n, 1)))
-            pin = sparse.csr_matrix(
-                (np.ones(1), (np.zeros(1, dtype=int),
-                              np.array([self.start]))), shape=(1, n))
-            top = sparse.hstack([eye - self.p_pi, ones], format="csr")
-            bottom = sparse.hstack([pin, sparse.csr_matrix((1, 1))],
-                                   format="csr")
-            system = sparse.vstack([top, bottom], format="csc")
-            try:
-                # COLAMD ordering factors the 30k-state evaluation
-                # systems ~1.7x faster than SuperLU's default.
-                self._lu = sla.splu(system, permc_spec="COLAMD")
-            except Exception as exc:
-                raise SolverError(
-                    f"policy evaluation failed: {exc}") from exc
+    def system(self, stats: EvalCacheStats):
+        if self._system is None:
+            self._system = self._set_up()
             stats.bump("factorizations")
-        return self._lu
+        return self._system
+
+    def stationary(self, stats: EvalCacheStats) -> np.ndarray:
+        if self._pi is None:
+            stats.bump("stationary_misses")
+            # Verify the residual of the normalized solution: a
+            # (near-)singular evaluation system -- a multichain
+            # policy -- can return finite garbage that `isfinite`
+            # alone would accept.
+            from repro.mdp.stationary import _check_stationary_residual
+            self._pi = _check_stationary_residual(
+                self._stationary_solve(stats), self.p_pi,
+                f"policy stationary (start={self.start})")
+        else:
+            stats.bump("stationary_hits")
+        return self._pi
+
+
+class _BorderedStructure(_PolicyStructure):
+    """Evaluation through one COLAMD LU of the bordered ``(N+1)``
+    average-reward system (MDPs without a renewal order)."""
+
+    __slots__ = ()
+
+    def _set_up(self):
+        n = self.p_pi.shape[0]
+        eye = sparse.identity(n, format="csr")
+        ones = sparse.csr_matrix(np.ones((n, 1)))
+        pin = sparse.csr_matrix(
+            (np.ones(1), (np.zeros(1, dtype=int),
+                          np.array([self.start]))), shape=(1, n))
+        top = sparse.hstack([eye - self.p_pi, ones], format="csr")
+        bottom = sparse.hstack([pin, sparse.csr_matrix((1, 1))],
+                               format="csr")
+        system = sparse.vstack([top, bottom], format="csc")
+        try:
+            # COLAMD ordering factors the 30k-state evaluation systems
+            # ~1.7x faster than SuperLU's default.
+            return sla.splu(system, permc_spec="COLAMD")
+        except Exception as exc:
+            raise SolverError(
+                f"policy evaluation failed: {exc}") from exc
 
     def gain_bias(self, r_pi: np.ndarray,
                   stats: EvalCacheStats) -> Tuple[float, np.ndarray]:
         n = self.p_pi.shape[0]
         rhs = np.concatenate([r_pi, [0.0]])
-        solution = self.lu(stats).solve(rhs)
+        solution = self.system(stats).solve(rhs)
         if not np.all(np.isfinite(solution)):
             raise SolverError(
                 "policy evaluation produced non-finite values; the policy "
                 "is likely multichain (start state unreachable)")
         return float(solution[n]), solution[:n]
 
-    def stationary(self, stats: EvalCacheStats) -> np.ndarray:
-        if self._pi is None:
-            stats.bump("stationary_misses")
-            n = self.p_pi.shape[0]
-            rhs = np.zeros(n + 1)
-            rhs[n] = 1.0
-            solution = self.lu(stats).solve(rhs, trans="T")
-            # Verify the residual of the normalized solution: an LU of
-            # a (near-)singular evaluation system -- a multichain
-            # policy -- can return finite garbage that `isfinite`
-            # alone would accept.
-            from repro.mdp.stationary import _check_stationary_residual
-            self._pi = _check_stationary_residual(
-                solution[:n], self.p_pi,
-                f"policy stationary (start={self.start})")
-        else:
-            stats.bump("stationary_hits")
-        return self._pi
+    def _stationary_solve(self, stats: EvalCacheStats) -> np.ndarray:
+        n = self.p_pi.shape[0]
+        rhs = np.zeros(n + 1)
+        rhs[n] = 1.0
+        return self.system(stats).solve(rhs, trans="T")[:n]
+
+
+class _RenewalStructure(_PolicyStructure):
+    """Evaluation by renewal at ``start``: triangular solves with
+    ``M = I - P~`` (``P_pi`` with its ``start`` column zeroed), stored
+    in the kernel's renewal order, where it is unit lower-triangular.
+    The expected steps to reach ``start``, ``y = M^-1 1``, are cached
+    with the structure."""
+
+    __slots__ = ("rank", "_steps")
+
+    def __init__(self, policy: np.ndarray, p_pi: sparse.csr_matrix,
+                 start: int, rank: np.ndarray) -> None:
+        super().__init__(policy, p_pi, start)
+        self.rank = rank
+        self._steps: Optional[np.ndarray] = None
+
+    def _set_up(self) -> sparse.csc_matrix:
+        p, rank = self.p_pi, self.rank
+        n = p.shape[0]
+        keep = p.indices != self.start
+        diagonal = np.arange(n, dtype=rank.dtype)
+        rows = np.repeat(rank, np.diff(p.indptr))[keep]
+        return sparse.csc_matrix(
+            (np.concatenate([np.ones(n), -p.data[keep]]),
+             (np.concatenate([diagonal, rows]),
+              np.concatenate([diagonal, rank[p.indices[keep]]]))),
+            shape=(n, n))
+
+    def _solve(self, stats: EvalCacheStats, rhs: np.ndarray,
+               transposed: bool = False) -> np.ndarray:
+        """``M^-1 rhs`` (or ``M^-T rhs``), both in renewal order.
+        ``M`` stores its unit diagonal, so ``unit_diagonal`` rewrites
+        ones over ones and ``overwrite_A`` spares a copy of ``M`` per
+        solve without changing it."""
+        m = self.system(stats)
+        if transposed:
+            return sla.spsolve_triangular(m.T, rhs, lower=False,
+                                          overwrite_A=True,
+                                          unit_diagonal=True)
+        return sla.spsolve_triangular(m, rhs, lower=True,
+                                      overwrite_A=True,
+                                      unit_diagonal=True)
+
+    def gain_bias(self, r_pi: np.ndarray,
+                  stats: EvalCacheStats) -> Tuple[float, np.ndarray]:
+        rank = self.rank
+        rhs = np.empty_like(r_pi)
+        rhs[rank] = r_pi
+        total = self._solve(stats, rhs)
+        if self._steps is None:
+            self._steps = self._solve(stats, np.ones_like(r_pi))
+        at_start = rank[self.start]
+        gain = total[at_start] / self._steps[at_start]
+        bias = (total - gain * self._steps)[rank]
+        bias[self.start] = 0.0
+        if not (np.isfinite(gain) and np.all(np.isfinite(bias))):
+            raise SolverError(
+                "policy evaluation produced non-finite values")
+        return float(gain), bias
+
+    def _stationary_solve(self, stats: EvalCacheStats) -> np.ndarray:
+        rhs = np.zeros(self.p_pi.shape[0])
+        rhs[self.rank[self.start]] = 1.0
+        return self._solve(stats, rhs, transposed=True)[self.rank]
 
 
 class _PolicyEntry:
@@ -294,10 +429,12 @@ class PolicyEvalCache:
     Cached per policy:
 
     - the induced transition matrix ``P_pi`` (row-sliced off the
-      Bellman stack) and the LU factorization of the average-reward
-      evaluation system -- *reward-independent*;
+      Bellman stack) and its evaluation system: the triangular renewal
+      system when the kernel has a renewal order
+      (:meth:`BellmanKernel.renewal_order`), else the LU factorization
+      of the bordered average-reward system -- *reward-independent*;
     - the stationary distribution (one transposed triangular solve on
-      the same factorization) -- *reward-independent*;
+      the same system) -- *reward-independent*;
     - per-channel gains ``pi . r_pi`` and (gain, bias) pairs per
       transformed reward -- *reward-dependent*, dropped by
       :meth:`invalidate_rewards`.
@@ -306,7 +443,7 @@ class PolicyEvalCache:
     the combined ``(A, N)`` array, which is what makes Dinkelbach's
     re-evaluation of the incumbent policy at the converged ``rho`` (and
     the final ``policy_gains`` reporting pass) hit instead of
-    re-factorizing.
+    re-solving.
     """
 
     def __init__(self, mdp, max_policies: int = POLICY_CACHE_SIZE) -> None:
@@ -326,9 +463,16 @@ class PolicyEvalCache:
             self._entries.move_to_end(key)
             return entry
         self.stats.bump("policy_misses")
-        p_pi = self._mdp.kernel().policy_matrix(policy)
-        entry = _PolicyEntry(_PolicyStructure(policy.copy(), p_pi,
-                                              self._mdp.start))
+        kernel = self._mdp.kernel()
+        p_pi = kernel.policy_matrix(policy)
+        rank = kernel._renewal_rank
+        if rank is None:
+            structure: _PolicyStructure = _BorderedStructure(
+                policy.copy(), p_pi, self._mdp.start)
+        else:
+            structure = _RenewalStructure(policy.copy(), p_pi,
+                                          self._mdp.start, rank)
+        entry = _PolicyEntry(structure)
         self._entries[key] = entry
         while len(self._entries) > self._max:
             self._entries.popitem(last=False)
@@ -392,7 +536,7 @@ class PolicyEvalCache:
     def invalidate_rewards(self) -> None:
         """Drop every reward-dependent memo (channel gains and
         transformed-reward evaluations) while keeping the expensive
-        reward-independent structure (``P_pi``, LU factorizations,
+        reward-independent structure (``P_pi``, evaluation systems,
         stationary distributions).
 
         Call this if an MDP's reward channels are replaced in place;

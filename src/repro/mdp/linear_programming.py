@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
 
 from repro.errors import SolverError
 from repro.mdp.model import MDP
@@ -36,6 +36,10 @@ def lp_average_reward(mdp: MDP, reward: np.ndarray
     only through recurrent behaviour -- callers wanting transient
     optimality should use :func:`repro.mdp.policy_iteration.policy_iteration`).
     """
+    # Imported here: scipy.optimize costs ~0.1 s at import, and only
+    # this validation path needs it.
+    from scipy import optimize
+
     reward = np.asarray(reward, dtype=float)
     n, na = mdp.n_states, mdp.n_actions
     pairs = [(s, a) for a in range(na) for s in range(n)

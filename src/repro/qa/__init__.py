@@ -14,10 +14,11 @@ numbers.  This package closes that gap:
   certificates (``f(rho*) == 0``) instead of float tolerances.
 - :mod:`repro.qa.generators` -- seeded adversarial MDP instance
   generators: unichain, multichain, periodic chains, near-degenerate
-  probabilities (~1e-12 mass), duplicated actions and reward channels
-  spanning ~8 orders of magnitude.  Probabilities and rewards are
-  dyadic rationals, so ``Fraction(float)`` round-trips exactly and the
-  exact solvers stay fast.
+  probabilities (~1e-12 mass), duplicated actions, reward channels
+  spanning ~8 orders of magnitude and acyclic block races.
+  Probabilities and rewards are dyadic rationals, so
+  ``Fraction(float)`` round-trips exactly and the exact solvers stay
+  fast.
 - :mod:`repro.qa.conformance` -- the differential runner: every float
   solver runs on the same instances and is checked against the exact
   reference within certified per-solver tolerances, producing a

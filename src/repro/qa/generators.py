@@ -14,6 +14,10 @@ failure mode of the float solvers:
   (the scale-blind ratio acceptance bug) and denominator floors.
 - ``duplicate-action`` -- an action duplicated under a second name; any
   tie-break or indexing slip changes the answer.
+- ``race``         -- a block race: every transition not into the start
+  state goes one level deeper, so the float solvers evaluate policies
+  by renewal (triangular solves) instead of an LU factorization, as
+  they do on the paper's attack MDPs.
 - ``multichain``   -- two recurrent classes (plus an optional
   transient start); the stationary system is singular, which a solver
   must *report*, not round through.
@@ -43,7 +47,7 @@ from repro.mdp.model import MDP
 #: assume unichain models, and the class exists to pin the singular
 #: stationary-solve regression in targeted tests).
 INSTANCE_CLASSES = ("unichain", "periodic", "near-degenerate",
-                    "wide-scale", "duplicate-action")
+                    "wide-scale", "duplicate-action", "race")
 
 #: Denominator of the dyadic probability grid.
 _PROB_GRID = 64
@@ -214,6 +218,34 @@ def _make_duplicate_action(seed: int) -> QAInstance:
                       with_duplicate_action(mdp, "a0"))
 
 
+def _make_race(seed: int) -> QAInstance:
+    """Three actions over a start state and three levels of two
+    states.  Every row sends at least 1/4 of its mass back to the
+    start and the rest one level deeper; the deepest level returns
+    to the start surely.  With the transitions into the start
+    removed the union graph is acyclic, which selects the renewal
+    evaluation path."""
+    rng = np.random.default_rng(seed + 7006)
+    depth, width, n_actions = 3, 2, 3
+    levels = [[0]] + [list(range(1 + k * width, 1 + (k + 1) * width))
+                      for k in range(depth)] + [[]]
+    b = MDPBuilder(actions=[f"a{i}" for i in range(n_actions)],
+                   channels=["num", "den"])
+    for here, deeper in zip(levels, levels[1:]):
+        targets = [0] + deeper
+        for s in here:
+            for a in range(n_actions):
+                probs = _dyadic_probs(rng, len(targets))
+                num = _dyadic_reward(rng)
+                den = _dyadic_reward(rng, _PROB_GRID // 2,
+                                     3 * _PROB_GRID // 2)
+                for t, prob in zip(targets, probs):
+                    if prob > 0:
+                        b.add(s, f"a{a}", t, float(prob),
+                              num=num, den=den)
+    return QAInstance("race", seed, b.build(start=0))
+
+
 def _make_multichain(seed: int) -> QAInstance:
     """Two disjoint recurrent classes; chains induced by any policy
     are reducible, so global stationary systems are singular."""
@@ -237,6 +269,7 @@ _MAKERS = {
     "near-degenerate": _make_near_degenerate,
     "wide-scale": _make_wide_scale,
     "duplicate-action": _make_duplicate_action,
+    "race": _make_race,
     "multichain": _make_multichain,
 }
 

@@ -309,8 +309,8 @@ def bench_serve_smoke(fast: bool) -> Dict:
         hit_wall = time.perf_counter() - start
 
         cold = SolveRequest(
-            config=dataclasses.replace(config, alpha=config.alpha,
-                                       include_wait=True),
+            config=AttackConfig.from_ratio(0.2, (2, 3), setting=1,
+                                           ad=config.ad),
             model=model)
         responses = await asyncio.gather(
             *(service.submit(cold) for _ in range(burst)))

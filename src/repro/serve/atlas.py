@@ -29,9 +29,10 @@ long-running service:
   :meth:`quarantine`) plus a bounded LRU cache of hot policy bodies
   make repeat :meth:`get`\\ s and :meth:`nearest` queries run with
   zero disk reads.  The cache is strictly read-through: bodies enter
-  it only after surviving a fully validated disk load, so on-disk
-  corruption is still detected the first time an entry is read, and
-  :meth:`put` only invalidates (never populates) the cached body.
+  it only after surviving a fully validated disk load -- in
+  :meth:`get`, or in the :meth:`scan` that already validated them, so
+  a restarted service reads each entry once -- and :meth:`put` only
+  invalidates (never populates) the cached body.
 
 Multi-writer safety: several processes may share one atlas directory.
 The index is therefore advisory for *presence* -- a digest absent from
@@ -81,7 +82,14 @@ def canonical_json(obj) -> str:
 
 
 def atlas_key(config: AttackConfig, model: IncentiveModel) -> Dict:
-    """The canonical JSON-compatible identity of one solved cell."""
+    """The canonical JSON-compatible identity of one solved cell.
+
+    ``include_wait`` is taken from the model, as
+    :func:`repro.core.solve.analyze` does before solving: the stored
+    answer's config then matches its key, and two requests that differ
+    only in that flag are one cell.
+    """
+    config = dataclasses.replace(config, include_wait=model.uses_wait)
     return {"config": dataclasses.asdict(config), "model": model.value}
 
 
@@ -402,18 +410,21 @@ class PolicyAtlas:
         remaining entry on disk has passed checksum and schema
         validation (the "zero corrupt entries loaded" guarantee), the
         index is exactly the on-disk survivor set, and cached bodies
-        whose entries did not survive have been dropped.
+        whose entries did not survive have been dropped.  The bodies
+        just validated enter the LRU cache (within its bound), so a
+        :meth:`get` right after the scan reads nothing from disk.
         """
         index: Dict[str, Dict] = {}
         for path in sorted(self.entries_dir.glob("*.json")):
             try:
-                key, _body = self._load_entry(path)
+                key, body = self._load_entry(path)
             except FileNotFoundError:
                 continue
             except ArtifactCorruptError as exc:
                 self.quarantine(path, exc.reason)
                 continue
             index[path.stem] = key
+            self._admit(path.stem, key, body)
         self._index = dict(index)
         self._index_complete = True
         for digest in [d for d in self._cache if d not in self._index]:

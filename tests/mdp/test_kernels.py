@@ -217,3 +217,121 @@ def test_structure_view_shares_factorizations():
     assert view.stats.eval_misses == 1
     ref_gain, _ = dense_gain_bias(mdp, policy, reward)
     assert gain == pytest.approx(ref_gain, abs=1e-10)
+
+
+# -- renewal evaluation of acyclic (race) MDPs ---------------------------
+
+def renewal_cell_mdp(setting: int) -> MDP:
+    """A private (uncached) attack MDP: the paper's setting-1 cell, or
+    the fast ``ad=2`` setting-2 cell."""
+    from repro.core.attack_mdp import build_attack_mdp
+    from repro.core.config import AttackConfig
+    ad = 6 if setting == 1 else 2
+    return build_attack_mdp(AttackConfig.from_ratio(
+        0.25, (1, 1), setting=setting, ad=ad), cache=False)
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    scale = max(1.0, float(np.abs(want).max()))
+    assert float(np.abs(np.asarray(got) - want).max()) <= rel * scale
+
+
+@pytest.mark.parametrize("setting", [1, 2])
+def test_renewal_path_matches_bordered_lu_on_visited_policies(setting):
+    from repro.mdp.kernels import _BorderedStructure, _RenewalStructure
+    from repro.mdp.policy_iteration import policy_iteration
+
+    mdp = renewal_cell_mdp(setting)
+    assert mdp.kernel().renewal_order() is not None
+    reward = mdp.combined_reward({"alice": 1.0, "others": -0.3})
+    policy_iteration(mdp, reward)
+    cache = mdp.eval_cache()
+    visited = [entry.structure for entry in cache._entries.values()]
+    assert len(visited) > 1
+    assert all(isinstance(s, _RenewalStructure) for s in visited)
+    # One evaluation-system set-up per distinct policy.
+    assert cache.stats.factorizations == len(visited)
+
+    states = np.arange(mdp.n_states)
+    for renewal in visited:
+        bordered = _BorderedStructure(renewal.policy, renewal.p_pi,
+                                      mdp.start)
+        r_pi = reward[renewal.policy, states]
+        stats = cache.stats
+        gain, bias = renewal.gain_bias(r_pi, stats)
+        ref_gain, ref_bias = bordered.gain_bias(r_pi, stats)
+        assert gain == pytest.approx(ref_gain, rel=1e-12, abs=1e-15)
+        assert bias[mdp.start] == 0.0
+        assert_rel_close(bias, ref_bias)
+        assert_rel_close(renewal.stationary(stats),
+                         bordered.stationary(stats))
+
+
+def test_renewal_solves_leave_the_cached_system_unchanged():
+    """The triangular solves let scipy write the unit diagonal in
+    place; the cached system must come out of them unchanged."""
+    mdp = renewal_cell_mdp(1)
+    cache = mdp.eval_cache()
+    policy = np.asarray(mdp.available.argmax(axis=0), dtype=int)
+    reward = mdp.combined_reward({"alice": 1.0})
+    cache.evaluate(policy, reward)
+    system = cache._entry(policy).structure.system(cache.stats)
+    before = [a.copy() for a in (system.data, system.indices,
+                                 system.indptr)]
+    cache.evaluate(policy, reward + 1.0)
+    cache.stationary(policy)
+    after = (system.data, system.indices, system.indptr)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert cache.stats.factorizations == 1
+
+
+def test_renewal_order_points_every_edge_backwards():
+    mdp = renewal_cell_mdp(1)
+    order = mdp.kernel().renewal_order()
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    for p in mdp.transition:
+        coo = p.tocoo()
+        into_start = coo.col == mdp.start
+        assert np.all(position[coo.col[~into_start]]
+                      < position[coo.row[~into_start]])
+
+
+def test_renewal_order_none_for_bitcoin_double_spend_mdp():
+    from repro.baselines.selfish import SelfishMiningConfig, \
+        build_selfish_mdp
+    mdp = build_selfish_mdp(SelfishMiningConfig(
+        alpha=0.25, tie_power=0.5, max_len=6, rds=10.0,
+        confirmations=6))
+    assert mdp.kernel().renewal_order() is None
+
+
+def test_renewal_order_none_for_self_loop_off_start():
+    b = MDPBuilder(actions=["go"], channels=["r"])
+    b.add(0, "go", 1, 1.0, r=1.0)
+    b.add(1, "go", 1, 0.5)
+    b.add(1, "go", 0, 0.5)
+    mdp = b.build(start=0)
+    assert mdp.kernel().renewal_order() is None
+    gain, _bias = mdp.eval_cache().evaluate(np.zeros(2, dtype=int),
+                                            mdp.rewards["r"])
+    # The bordered LU still evaluates it: 1 reward per 3 expected steps.
+    assert gain == pytest.approx(1 / 3)
+
+
+def test_renewal_order_none_for_cycle_avoiding_start():
+    b = MDPBuilder(actions=["stay", "leave"], channels=["r"])
+    b.add(0, "stay", 1, 1.0)
+    b.add(0, "leave", 1, 1.0)
+    b.add(1, "stay", 2, 1.0)
+    b.add(1, "leave", 0, 1.0)
+    b.add(2, "stay", 1, 1.0)
+    b.add(2, "leave", 0, 1.0)
+    mdp = b.build(start=0)
+    assert mdp.kernel().renewal_order() is None
+
+
+def test_renewal_order_of_chain_into_start():
+    # Transitions into start (the self-loop included) are not edges.
+    mdp = two_state_chain()
+    assert mdp.kernel().renewal_order().tolist() == [1, 0]

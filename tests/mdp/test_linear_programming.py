@@ -1,7 +1,14 @@
 """Tests for the LP average-reward solver (independent cross-check)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.mdp.linear_programming import lp_average_reward, lp_gain
 from repro.mdp.policy_iteration import policy_iteration
@@ -51,3 +58,14 @@ def test_lp_gain_expected_mismatch_raises():
     mdp = work_or_rest()
     with pytest.raises(SolverError):
         lp_gain(mdp, mdp.channel_reward("r"), expected=0.9, tol=1e-9)
+
+
+def test_table_and_solve_imports_leave_scipy_optimize_unloaded():
+    """scipy.optimize costs ~0.1 s at import; only the LP needs it."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, repro.analysis.tables, repro.core.solve; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

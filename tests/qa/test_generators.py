@@ -100,3 +100,14 @@ def test_shift_and_scale_reward():
 def test_unknown_class_rejected():
     with pytest.raises(Exception):
         make_instance("no-such-class", 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_race_instances_take_the_renewal_path(seed):
+    mdp = make_instance("race", seed).mdp
+    assert mdp.n_actions > 1
+    assert mdp.kernel().renewal_order() is not None
+    permuted = permute_mdp(mdp, random_permutation(seed, mdp.n_states))
+    assert permuted.kernel().renewal_order() is not None
+    assert make_instance("unichain", seed).mdp.kernel() \
+        .renewal_order() is None

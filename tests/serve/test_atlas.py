@@ -192,6 +192,42 @@ def test_lru_cache_is_bounded_and_evicts_oldest(tmp_path, payload):
     assert atlas.stats.disk_reads == before
 
 
+def test_get_after_scan_reads_nothing_from_disk(tmp_path, payload):
+    """scan() validates every body once and admits it to the cache, so
+    the first get after a restart does not read the entry again."""
+    keys = [put_cell(PolicyAtlas(tmp_path), payload, a)[0]
+            for a in (0.10, 0.15)]
+    fresh = PolicyAtlas(tmp_path)
+    fresh.scan()
+    assert fresh.stats.disk_reads == 2
+    for key in keys:
+        assert fresh.get(key) is not None
+    assert fresh.stats.disk_reads == 2
+    assert fresh.stats.cache_hits == 2
+
+
+def test_scan_admission_respects_the_cache_bound(tmp_path, payload):
+    writer = PolicyAtlas(tmp_path)
+    for alpha in (0.10, 0.15, 0.20):
+        put_cell(writer, payload, alpha)
+    fresh = PolicyAtlas(tmp_path, cache_entries=2)
+    assert len(fresh.scan()) == 3
+    assert len(fresh._cache) == 2
+    disabled = PolicyAtlas(tmp_path, cache_entries=0)
+    disabled.scan()
+    assert not disabled._cache
+
+
+def test_key_takes_include_wait_from_the_model():
+    config = AttackConfig.from_ratio(0.10, (1, 1), setting=1)
+    for model in IncentiveModel:
+        keys = {key_digest(atlas_key(config.with_wait(flag), model))
+                for flag in (False, True)}
+        assert len(keys) == 1
+        key = atlas_key(config, model)
+        assert key["config"]["include_wait"] is model.uses_wait
+
+
 def test_cache_disabled_still_indexes(tmp_path, payload):
     atlas = PolicyAtlas(tmp_path, cache_entries=0)
     key, _body = put_cell(atlas, payload, 0.10)

@@ -325,6 +325,27 @@ def test_sync_solve_fn_runs_in_executor(tmp_path):
     assert response.utility == pytest.approx(0.11)
 
 
+def test_orphan_model_repeats_are_answered_from_the_atlas(tmp_path):
+    """The orphan model is solved with Wait and stored under the key
+    its request maps to, so a repeat is an atlas hit rather than a
+    quarantine and a fresh solve."""
+    request = SolveRequest(
+        config=AttackConfig.from_ratio(0.10, (1, 1), setting=1, ad=2),
+        model=IncentiveModel.NON_PROFIT)
+
+    async def run():
+        service = SolverService(PolicyAtlas(tmp_path / "atlas"))
+        async with service:
+            responses = [await service.submit(request)
+                         for _ in range(3)]
+        return service, responses
+
+    service, responses = asyncio.run(run())
+    assert [r.source for r in responses] == ["solve", "atlas", "atlas"]
+    assert service.atlas.stats.quarantined == 0
+    assert len({r.utility for r in responses}) == 1
+
+
 def test_request_from_json_variants():
     request = request_from_json(
         {"alpha": 0.25, "ratio": "2:3", "model": "relative",

@@ -94,3 +94,13 @@ def test_cli_grid_choices_pinned_to_warm_grids():
     this pin is what licenses the duplication."""
     from repro.cli import _WARM_GRIDS
     assert _WARM_GRIDS == WARM_GRIDS
+
+
+def test_warmed_table4_grid_survives_restart_scan(tmp_path):
+    """Table-4 cells are solved with Wait.  Their keys say so, so a
+    restart's scan keeps every one instead of quarantining it."""
+    report = warm_atlas(PolicyAtlas(tmp_path), grid="table4", fast=True)
+    assert report.solved == report.cells > 0
+    fresh = PolicyAtlas(tmp_path)
+    assert len(fresh.scan()) == report.cells
+    assert fresh.stats.quarantined == 0
