@@ -12,11 +12,10 @@ Commands
 ``race``      per-race statistics of one fork (absorbing-chain exact)
 ``deadline``  price a time-limited attack (finite horizon)
 ``report``    regenerate the paper-vs-measured markdown comparison
-``serve``     answer solve requests from the policy atlas (batch JSON,
-              a JSON-lines TCP front-end or an HTTP front-end; with
-              ``--warm`` precompute the paper grids into the atlas,
-              with ``--processes N`` fan batches over worker
-              processes; see docs/robustness.md)
+``serve``     answer solve requests from the policy atlas (batch JSON
+              or an HTTP front-end; with ``--warm`` precompute the
+              paper grids into the atlas, with ``--processes N`` fan
+              batches over worker processes; see docs/robustness.md)
 ``chaos``     run the network simulation under an injected fault plan,
               or (``--serve``) the solver-service chaos harness
 ``bench``     run the pipeline benchmarks, emit BENCH_<name>.json
@@ -30,22 +29,17 @@ and ``qa`` accept
 the span/counter/gauge registry as JSONL to FILE on the way out (see
 :mod:`repro.runtime.telemetry` and docs/observability.md).
 
-``attack``, ``tables``, ``validate``, ``serve``, ``bench`` and ``qa``
-also accept ``--backend {numpy,numba,reference}``, selecting the
-compute backend for the Bellman/rollout hot loops (see
-:mod:`repro.mdp.backends` and docs/performance.md); the choice is
-exported through ``REPRO_BACKEND`` so spawned worker processes inherit
-it.  ``tables``, ``validate``, ``serve`` and ``qa`` accept
-``--scheduler {serial,process,process:N,spec:FILE}``, overriding how
-sweep cells are fanned out (:mod:`repro.runtime.parallel`).
+``tables``, ``validate``, ``serve`` and ``qa`` accept
+``--scheduler {serial,process,process:N}``, overriding how sweep cells
+are fanned out (:mod:`repro.runtime.parallel`).
 
 ``attack``, ``tables``, ``serve``, ``bench`` and ``qa`` accept
 ``--ratio-method
 {dinkelbach,bisection,pto}``, selecting the ratio-objective method for
 every relative-revenue/orphan-rate solve (see
-:mod:`repro.mdp.ratio` and docs/mdp-methods.md); like ``--backend``
-the choice is exported through ``REPRO_RATIO_METHOD`` so spawned
-worker processes inherit it.
+:mod:`repro.mdp.ratio` and docs/mdp-methods.md); the choice is
+exported through ``REPRO_RATIO_METHOD`` so spawned worker processes
+inherit it.
 
 ``attack``, ``tables`` and ``bench`` accept ``--engine
 {exact,approx}``, selecting the average-reward solve engine:
@@ -250,7 +244,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         SolverService,
         serve_batch,
         serve_batch_multiprocess,
-        serve_tcp,
     )
 
     atlas = PolicyAtlas(args.atlas, cache_entries=args.cache_entries)
@@ -281,7 +274,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_pending=args.max_pending,
             default_deadline_s=args.deadline,
             retry=RetryPolicy(max_attempts=args.retries + 1),
-            seed=args.seed, backend=args.backend)
+            seed=args.seed)
         for result in results:
             print(json.dumps(result))
         return 0
@@ -293,27 +286,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_pending=args.max_pending,
             default_deadline_s=args.deadline,
             retry=RetryPolicy(max_attempts=args.retries + 1),
-            seed=args.seed,
-            backend=args.backend)
+            seed=args.seed)
         try:
             if args.requests is not None:
                 objs = _read_request_objs(args.requests)
                 for result in await serve_batch(service, objs):
                     print(json.dumps(result))
-            elif args.http is not None:
+            else:
                 from repro.serve.http import serve_http
                 server = await serve_http(service, args.host, args.http)
                 print(f"HTTP front-end on {args.host}:{args.http} "
                       f"(POST /solve, GET /health; atlas: {args.atlas}, "
                       f"{len(atlas)} entries); Ctrl-C to stop",
                       file=sys.stderr)
-                async with server:
-                    await server.serve_forever()
-            else:
-                server = await serve_tcp(service, args.host, args.port)
-                print(f"serving on {args.host}:{args.port} "
-                      f"(atlas: {args.atlas}, {len(atlas)} entries); "
-                      f"Ctrl-C to stop", file=sys.stderr)
                 async with server:
                     await server.serve_forever()
         finally:
@@ -455,10 +440,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         argv.extend(["--baseline", args.baseline])
     argv.extend(["--max-regression", str(args.max_regression)])
     argv.extend(["--repeat", str(args.repeat)])
-    if args.backend is not None:
-        argv.extend(["--backend", args.backend])
-    if args.min_speedup is not None:
-        argv.extend(["--min-speedup", str(args.min_speedup)])
     return bench_main(argv)
 
 
@@ -481,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="wall-clock budget in seconds (supervised "
                              "solve with fallback chain)")
     _add_trace_flag(attack)
-    _add_backend_flag(attack)
     _add_ratio_method_flag(attack)
     _add_engine_flag(attack)
     attack.set_defaults(func=cmd_attack)
@@ -496,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="checkpoint directory; an interrupted run "
                              "resumes from it without re-solving")
     _add_trace_flag(tables)
-    _add_backend_flag(tables)
     _add_scheduler_flag(tables)
     _add_ratio_method_flag(tables)
     _add_engine_flag(tables)
@@ -538,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "Walker/Vose draws; tables are built "
                                "once and shared across workers)")
     _add_trace_flag(validate)
-    _add_backend_flag(validate)
     _add_scheduler_flag(validate)
     validate.set_defaults(func=cmd_validate)
 
@@ -579,14 +557,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "demand)")
     serve.add_argument("--requests", default=None, metavar="FILE",
                        help="answer a batch of JSON-lines requests "
-                            "from FILE ('-' for stdin) and exit; "
-                            "omit to run the TCP front-end")
+                            "from FILE ('-' for stdin) and exit")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8787)
     serve.add_argument("--http", type=int, default=None, metavar="PORT",
-                       help="run the HTTP front-end on PORT instead of "
-                            "the JSON-lines TCP front-end (POST /solve, "
-                            "GET /health)")
+                       help="run the HTTP front-end on PORT (POST "
+                            "/solve, GET /health)")
     serve.add_argument("--warm", nargs="?", const="paper", default=None,
                        choices=_WARM_GRIDS, metavar="GRID",
                        help="precompute a paper parameter grid into "
@@ -617,10 +592,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "policy bodies (0 disables body caching)")
     serve.add_argument("--seed", type=int, default=0)
     _add_trace_flag(serve)
-    _add_backend_flag(serve)
     _add_scheduler_flag(serve)
     _add_ratio_method_flag(serve)
-    serve.set_defaults(func=cmd_serve)
+    serve.set_defaults(func=cmd_serve, serve_parser=serve)
 
     chaos = sub.add_parser("chaos",
                            help="fault-injected network simulation")
@@ -664,13 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--max-regression", type=float, default=2.0,
                        metavar="X")
     bench.add_argument("--repeat", type=int, default=1, metavar="N")
-    bench.add_argument("--min-speedup", type=float, default=None,
-                       metavar="X",
-                       help="with a non-numpy --backend: fail unless "
-                            "each benchmark beats the numpy baseline "
-                            "by a factor of X")
     _add_trace_flag(bench)
-    _add_backend_flag(bench)
     _add_ratio_method_flag(bench)
     _add_engine_flag(bench)
     bench.set_defaults(func=cmd_bench)
@@ -692,7 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     qa.add_argument("--report", default=None, metavar="FILE",
                     help="also write the full cell list as JSON")
     _add_trace_flag(qa)
-    _add_backend_flag(qa)
     _add_scheduler_flag(qa)
     _add_ratio_method_flag(qa)
     qa.set_defaults(func=cmd_qa)
@@ -708,14 +675,6 @@ def _add_trace_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--trace", default=None, metavar="FILE",
                      help="enable telemetry and write the trace as "
                           "JSONL to FILE (inspect with 'repro trace')")
-
-
-def _add_backend_flag(sub: argparse.ArgumentParser) -> None:
-    from repro.mdp.backends import BACKEND_NAMES
-    sub.add_argument("--backend", default=None, choices=BACKEND_NAMES,
-                     help="compute backend for the Bellman/rollout "
-                          "kernels ('numba' degrades to numpy with a "
-                          "warning when unavailable)")
 
 
 def _add_engine_flag(sub: argparse.ArgumentParser) -> None:
@@ -743,27 +702,19 @@ def _add_ratio_method_flag(sub: argparse.ArgumentParser) -> None:
 def _add_scheduler_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scheduler", default=None, metavar="SPEC",
                      help="cell execution strategy: 'serial', "
-                          "'process', 'process:N' or 'spec:FILE' "
-                          "(default: a local process pool sized by "
-                          "--workers)")
+                          "'process' or 'process:N' (default: a local "
+                          "process pool sized by --workers)")
 
 
 def _apply_runtime_flags(args: argparse.Namespace) -> None:
-    """Install the ``--backend`` / ``--scheduler`` selections before
-    dispatching a subcommand.
+    """Install the ``--ratio-method`` / ``--engine`` / ``--scheduler``
+    selections before dispatching a subcommand.
 
-    The backend is both selected in-process and exported through
-    ``REPRO_BACKEND`` so worker processes started with the ``spawn``
-    method (which inherit no module globals) resolve to the same
-    choice.
+    The ratio method and engine are both selected in-process and
+    exported through their environment variables so worker processes
+    started with the ``spawn`` method (which inherit no module globals)
+    resolve to the same choice.
     """
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        import os
-
-        from repro.mdp import backends
-        os.environ[backends.BACKEND_ENV] = backend
-        backends.set_backend(backend)
     ratio_method = getattr(args, "ratio_method", None)
     if ratio_method is not None:
         import os
@@ -806,6 +757,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "serve" and args.requests is None \
+            and args.http is None and args.warm is None:
+        args.serve_parser.error("one of --http PORT, --requests FILE "
+                                "or --warm is required")
     try:
         return _run_traced(args)
     except ReproError as exc:

@@ -28,6 +28,13 @@ to a JSON-lines event file (written atomically via
 with :func:`load_trace` / :func:`summarize_trace` (the ``repro trace``
 subcommand).
 
+One tracer may be fed from several threads (the serving layer runs
+solves on executor threads) and asyncio tasks.  Each thread and task
+sees its own innermost open span through a
+:class:`contextvars.ContextVar`, so concurrent spans never nest under
+one another, and one lock guards every mutation of the counters,
+gauges and events.
+
 Worker processes do not share the parent's tracer.  Instead,
 :mod:`repro.runtime.parallel` runs each task under a fresh local
 tracer (:func:`use_tracer`) and ships the resulting
@@ -37,7 +44,9 @@ with :meth:`Tracer.merge_snapshot`.
 
 from __future__ import annotations
 
+import contextvars
 import json
+import threading
 import time
 from typing import Dict, List, Optional, Union
 
@@ -68,32 +77,40 @@ class _NullSpan:
 
 _NULL_SPAN = _NullSpan()
 
+#: Innermost open span of the running thread or asyncio task (each has
+#: its own context), or ``None``.
+_OPEN_SPAN: "contextvars.ContextVar[Optional[_Span]]" = \
+    contextvars.ContextVar("repro_open_span", default=None)
+
 
 class _Span:
     """One live timed region of a :class:`Tracer`."""
 
-    __slots__ = ("_tracer", "name", "path", "_start")
+    __slots__ = ("_tracer", "name", "path", "_parent", "_start")
 
     def __init__(self, tracer: "Tracer", name: str) -> None:
         self._tracer = tracer
         self.name = name
         self.path = name
+        self._parent: Optional[_Span] = None
         self._start = 0.0
 
     def __enter__(self) -> "_Span":
-        stack = self._tracer._stack
-        if stack:
-            self.path = f"{stack[-1].path}/{self.name}"
-        stack.append(self)
+        parent = self._parent = _OPEN_SPAN.get()
+        # Open spans of another tracer (one swapped out by use_tracer)
+        # are not part of this tracer's paths.
+        while parent is not None and parent._tracer is not self._tracer:
+            parent = parent._parent
+        if parent is not None:
+            self.path = f"{parent.path}/{self.name}"
+        _OPEN_SPAN.set(self)
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *_exc) -> bool:
         elapsed = time.perf_counter() - self._start
-        stack = self._tracer._stack
-        if stack and stack[-1] is self:
-            stack.pop()
-        self._tracer.events.append(
+        _OPEN_SPAN.set(self._parent)
+        self._tracer.add_event(
             {"type": "span", "path": self.path, "name": self.name,
              "dur_s": elapsed})
         return False
@@ -101,6 +118,9 @@ class _Span:
 
 class Tracer:
     """In-memory registry of spans, counters and gauges.
+
+    Safe to feed from several threads: every mutation, and every read
+    through :meth:`snapshot` / :meth:`write`, holds one lock.
 
     Attributes
     ----------
@@ -119,18 +139,25 @@ class Tracer:
         self.counters: Dict[str, Number] = {}
         self.gauges: Dict[str, Number] = {}
         self.events: List[Dict] = []
-        self._stack: List[_Span] = []
+        self._lock = threading.Lock()
         self._created = time.time()
 
     # -- recording ----------------------------------------------------
 
     def add(self, name: str, value: Number = 1) -> None:
         """Increment counter ``name`` by ``value``."""
-        self.counters[name] = self.counters.get(name, 0) + value
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + value
 
     def set(self, name: str, value: Number) -> None:
         """Record gauge ``name`` (last write wins)."""
-        self.gauges[name] = value
+        with self._lock:
+            self.gauges[name] = value
+
+    def add_event(self, record: Dict) -> None:
+        """Append one JSON-compatible event record."""
+        with self._lock:
+            self.events.append(record)
 
     def span(self, name: str) -> _Span:
         """A context manager timing one nested region."""
@@ -141,9 +168,10 @@ class Tracer:
     def snapshot(self) -> Dict:
         """JSON-compatible copy of this tracer's state, suitable for
         shipping across a process boundary."""
-        return {"counters": dict(self.counters),
-                "gauges": dict(self.gauges),
-                "events": list(self.events)}
+        with self._lock:
+            return {"counters": dict(self.counters),
+                    "gauges": dict(self.gauges),
+                    "events": list(self.events)}
 
     def merge_snapshot(self, snapshot: Dict) -> None:
         """Fold a worker's :meth:`snapshot` into this tracer.
@@ -151,11 +179,11 @@ class Tracer:
         Counters are summed (worker-count independent); gauges are
         overwritten (last merge wins); events are appended.
         """
-        for name, value in snapshot.get("counters", {}).items():
-            self.add(name, value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.set(name, value)
-        self.events.extend(snapshot.get("events", ()))
+        with self._lock:
+            for name, value in snapshot.get("counters", {}).items():
+                self.counters[name] = self.counters.get(name, 0) + value
+            self.gauges.update(snapshot.get("gauges", {}))
+            self.events.extend(snapshot.get("events", ()))
 
     # -- serialization ------------------------------------------------
 
@@ -166,13 +194,15 @@ class Tracer:
         ``counters`` and one ``gauges`` record.  Written atomically so
         a crash mid-write never leaves a truncated trace.
         """
-        lines = [json.dumps({"schema": TRACE_SCHEMA, "kind": "trace",
-                             "created": self._created})]
-        lines.extend(json.dumps(event) for event in self.events)
-        lines.append(json.dumps({"type": "counters",
-                                 "values": self.counters}))
-        lines.append(json.dumps({"type": "gauges",
-                                 "values": self.gauges}))
+        with self._lock:
+            lines = [json.dumps({"schema": TRACE_SCHEMA,
+                                 "kind": "trace",
+                                 "created": self._created})]
+            lines.extend(json.dumps(event) for event in self.events)
+            lines.append(json.dumps({"type": "counters",
+                                     "values": self.counters}))
+            lines.append(json.dumps({"type": "gauges",
+                                     "values": self.gauges}))
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -257,7 +287,7 @@ def event(type_: str, **fields) -> None:
     """
     tracer = _TRACER
     if tracer is not None:
-        tracer.events.append({"type": type_, **fields})
+        tracer.add_event({"type": type_, **fields})
 
 
 # -- trace files: loading and summarizing ------------------------------

@@ -11,8 +11,8 @@
   atlas entry count, cache hit-rate/disk-read counters, and the
   service's request/coalesce/degraded stats.
 
-The wire contract matches the TCP front-end: every request gets a
-typed JSON body, never a silently dropped connection.  Status mapping:
+The wire contract matches batch mode: every request gets a typed
+JSON body, never a silently dropped connection.  Status mapping:
 
 ========================  ======
 error type                status
@@ -32,7 +32,7 @@ This is deliberately not a web framework: the parser handles exactly
 the HTTP/1.1 subset the service needs (request line, headers,
 ``Content-Length`` bodies, keep-alive), stays dependency-free, and
 rides the same asyncio loop as the service so coalescing and admission
-control see every front-end's traffic together.
+control see all of its traffic together.
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ async def _read_request(reader: asyncio.StreamReader, max_body: int
 async def serve_http(service: SolverService, host: str, port: int,
                      max_body: int = MAX_REQUEST_BYTES
                      ) -> asyncio.AbstractServer:
-    """Start the HTTP front-end; returns the started server (caller
-    owns its lifetime, like :func:`~repro.serve.service.serve_tcp`)."""
+    """Start the HTTP front-end; returns the started server (the
+    caller owns its lifetime)."""
 
     async def handle(reader: asyncio.StreamReader,
                      writer: asyncio.StreamWriter) -> None:

@@ -54,7 +54,6 @@ from repro.core.deadline import Deadline
 from repro.core.incentives import IncentiveModel
 from repro.errors import (
     ReproError,
-    RequestTooLargeError,
     ServiceOverloadError,
     ServiceShutdownError,
     SolveDeadlineError,
@@ -176,8 +175,7 @@ class _Inflight:
     waiters: int = 1
 
 
-def default_solve_backend(request: SolveRequest, deadline: Deadline,
-                          backend: Optional[str] = None):
+def default_solve_backend(request: SolveRequest, deadline: Deadline):
     """Solve one request synchronously under the remaining deadline.
 
     Runs in a worker thread (see :meth:`SolverService._attempt`);
@@ -185,15 +183,13 @@ def default_solve_backend(request: SolveRequest, deadline: Deadline,
     so the budget/fallback/validation path is identical to sweep cells
     -- including the typed :class:`~repro.errors.SolveDeadlineError` /
     :class:`~repro.errors.SolverBudgetExceededError` when the
-    cooperative budget expires.  ``backend`` optionally names the
-    compute backend (:mod:`repro.mdp.backends`) the solve selects.
+    cooperative budget expires.
     """
     from repro.runtime.parallel import SolveTask, execute_task
     budget = deadline.budget()  # raises typed error when expired
     task = SolveTask(kind="analyze", key=("serve",),
                      config=request.config, model=request.model,
-                     params=(("wall_clock", budget.wall_clock),),
-                     backend=backend)
+                     params=(("wall_clock", budget.wall_clock),))
     return execute_task(task)
 
 
@@ -234,11 +230,6 @@ class SolverService:
         Injectable monotonic clock (chaos tests skew it).
     seed:
         Seed of the private backoff-jitter RNG.
-    backend:
-        Optional compute-backend name (:mod:`repro.mdp.backends`)
-        forwarded to :func:`default_solve_backend` -- how ``repro
-        serve --backend numba`` reaches the worker-thread solves.
-        Ignored when a custom ``solve_fn`` is supplied.
     """
 
     def __init__(self, atlas: PolicyAtlas,
@@ -251,8 +242,7 @@ class SolverService:
                  degraded_grace_s: float = 5.0,
                  nearest_max_distance: float = float("inf"),
                  clock: Callable[[], float] = time.monotonic,
-                 seed: Optional[int] = None,
-                 backend: Optional[str] = None) -> None:
+                 seed: Optional[int] = None) -> None:
         if max_concurrency < 1:
             raise ReproError(
                 f"max_concurrency must be >= 1, got {max_concurrency!r}")
@@ -262,14 +252,8 @@ class SolverService:
         if default_deadline_s <= 0:
             raise ReproError("default_deadline_s must be positive")
         self.atlas = atlas
-        if solve_fn is not None:
-            self.solve_fn = solve_fn
-        elif backend is not None:
-            import functools
-            self.solve_fn = functools.partial(default_solve_backend,
-                                              backend=backend)
-        else:
-            self.solve_fn = default_solve_backend
+        self.solve_fn = solve_fn if solve_fn is not None \
+            else default_solve_backend
         self.max_pending = max_pending
         self.default_deadline_s = default_deadline_s
         self.retry = retry
@@ -603,7 +587,8 @@ def request_from_json(obj: Dict) -> SolveRequest:
 
 async def answer_json(service: SolverService, obj: Dict) -> Dict:
     """Answer one JSON request; errors become typed JSON, never an
-    exception (the wire contract of both front-ends)."""
+    exception (the wire contract of batch mode and the HTTP
+    front-end)."""
     try:
         response = await service.submit(request_from_json(obj))
     except ReproError as exc:
@@ -625,70 +610,10 @@ async def serve_batch(service: SolverService,
         *(answer_json(service, obj) for obj in requests)))
 
 
-#: Default byte limit on one front-end request frame (a TCP request
-#: line, or an HTTP body in :mod:`repro.serve.http`).  Far above any
-#: legitimate request, far below a memory hazard.
+#: Default byte limit on one HTTP request body
+#: (:mod:`repro.serve.http`).  Far above any legitimate request, far
+#: below a memory hazard.
 MAX_REQUEST_BYTES = 1 << 20
-
-
-async def serve_tcp(service: SolverService, host: str, port: int,
-                    limit: int = MAX_REQUEST_BYTES
-                    ) -> asyncio.AbstractServer:
-    """Start a JSON-lines TCP front-end.
-
-    One request object per line in, one response object per line out;
-    malformed JSON gets an ``{"ok": false}`` response rather than a
-    dropped connection.  Returns the started server (caller owns its
-    lifetime).
-
-    A request line longer than ``limit`` bytes is answered with a
-    typed :class:`~repro.errors.RequestTooLargeError` JSON object and
-    the connection is then closed -- the stream position past an
-    overrun line is unrecoverable, but the "typed error objects, never
-    dropped connections" contract still holds.  (The previous
-    implementation let the StreamReader's default 64 KiB limit raise
-    straight through ``readline()``, dropping the connection with no
-    response at all.)
-    """
-    import json
-
-    async def handle(reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except asyncio.IncompleteReadError as exc:
-                    # EOF mid-line: answer what arrived (defensive --
-                    # readline() normally folds this into a return).
-                    line = exc.partial
-                except (asyncio.LimitOverrunError, ValueError) as exc:
-                    # StreamReader.readline re-raises LimitOverrunError
-                    # as ValueError; either spelling means the line
-                    # exceeded ``limit``.
-                    error = RequestTooLargeError(
-                        f"request line exceeds the {limit}-byte limit; "
-                        f"split or shrink the request")
-                    result = {"ok": False, "error": type(error).__name__,
-                              "message": f"{error} ({exc})"}
-                    writer.write((json.dumps(result) + "\n").encode())
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    result = {"ok": False, "error": "JSONDecodeError",
-                              "message": str(exc)}
-                else:
-                    result = await answer_json(service, obj)
-                writer.write((json.dumps(result) + "\n").encode())
-                await writer.drain()
-        finally:
-            writer.close()
-
-    return await asyncio.start_server(handle, host, port, limit=limit)
 
 
 # -- multi-process workers ---------------------------------------------

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError, SolverInputError
-from repro.mdp import backends
 from repro.mdp.approx import (
     APPROX_MIN_STATES,
     ENGINE_ENV,
@@ -118,24 +117,6 @@ def test_full_every_one_is_plain_damped_rvi():
     sol = approx_average_reward(mdp, _combined(mdp), full_every=1)
     assert sol.queue_pops == 0
     assert sol.sweeps == sol.iterations
-
-
-# -- backend bit-identity ----------------------------------------------
-
-
-def test_reference_backend_is_bit_identical():
-    rng = np.random.default_rng(7)
-    mdp = random_unichain_mdp(rng, n_states=9, n_actions=2)
-    reward = mdp.combined_reward({"r": 1.0, "s": 0.25})
-    sol_np = approx_average_reward(mdp, reward)
-    with backends.use_backend("reference"):
-        sol_ref = approx_average_reward(mdp, reward)
-    assert sol_np.gain == sol_ref.gain
-    assert sol_np.bound == sol_ref.bound
-    assert sol_np.sweeps == sol_ref.sweeps
-    assert sol_np.queue_pops == sol_ref.queue_pops
-    assert np.array_equal(sol_np.policy, sol_ref.policy)
-    assert np.array_equal(sol_np.bias, sol_ref.bias)
 
 
 # -- warm starts and aggregation ---------------------------------------

@@ -4,13 +4,21 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.errors import MDPError
+from repro.errors import MDPError, SolverError
+from repro.mdp.average_reward import relative_value_iteration
 from repro.mdp.builder import MDPBuilder
 from repro.mdp.kernels import (
     PolicyEvalCache,
     greedy_policy_from_q,
     q_backup,
+    q_backup_greedy,
+    q_backup_max,
+    q_backup_states,
 )
+from repro.mdp.policy_iteration import policy_iteration
+from repro.mdp.value_iteration import value_iteration
+from repro.qa.generators import INSTANCE_CLASSES, make_instance
+from repro.runtime.telemetry import Tracer, use_tracer
 from tests.mdp.helpers import random_unichain_mdp, two_state_chain
 
 from repro.mdp.model import MDP
@@ -45,6 +53,34 @@ def test_q_backup_matches_per_action_reference(seed, discount):
     got = q_backup(mdp, reward, values, discount=discount)
     np.testing.assert_allclose(
         got, reference_q(mdp, reward, values, discount), atol=1e-14)
+
+
+@pytest.mark.parametrize("discount", [1.0, 0.93])
+@pytest.mark.parametrize("cls", INSTANCE_CLASSES)
+def test_reduced_backups_equal_slices_of_q_backup(cls, discount):
+    """q_backup_max / q_backup_greedy / q_backup_states are exactly
+    the max and first-maximizer argmax of the full q_backup (the
+    duplicate-action class carries exact ties)."""
+    mdp = make_instance(cls, 3).mdp
+    reward = mdp.combined_reward({"num": 1.0, "den": 0.25})
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=mdp.n_states)
+    q = q_backup(mdp, reward, values, discount=discount)
+    best, greedy = q.max(axis=0), greedy_policy_from_q(q)
+
+    b_max, g_max = q_backup_max(mdp, reward, values, discount=discount)
+    q_g, b_g, g_g = q_backup_greedy(mdp, reward, values,
+                                    discount=discount)
+    assert np.array_equal(q_g, q)
+    for b, g in ((b_max, g_max), (b_g, g_g)):
+        assert np.array_equal(b, best)
+        assert np.array_equal(g, greedy)
+
+    states = rng.permutation(mdp.n_states)[:max(1, mdp.n_states // 2)]
+    b_s, g_s = q_backup_states(mdp, reward, values, states,
+                               discount=discount)
+    assert np.array_equal(b_s, best[states])
+    assert np.array_equal(g_s, greedy[states])
 
 
 def test_q_backup_masks_unavailable_actions():
@@ -335,3 +371,30 @@ def test_renewal_order_of_chain_into_start():
     # Transitions into start (the self-loop included) are not edges.
     mdp = two_state_chain()
     assert mdp.kernel().renewal_order().tolist() == [1, 0]
+
+
+# -- kernel/q_backups counter ------------------------------------------
+
+
+def test_q_backup_counter_is_flushed_once_per_solve():
+    """The hoisted counter is value-identical to per-sweep counting:
+    one backup per improvement round / sweep."""
+    mdp = make_instance("unichain", 3).mdp
+    reward = mdp.combined_reward({"num": 1.0, "den": 0.25})
+    with use_tracer(Tracer()) as tracer:
+        solution = policy_iteration(mdp, reward)
+    assert tracer.counters["kernel/q_backups"] == solution.iterations
+    with use_tracer(Tracer()) as tracer:
+        rvi = relative_value_iteration(mdp, reward, epsilon=1e-6)
+    assert tracer.counters["kernel/q_backups"] == rvi.iterations
+
+
+def test_q_backup_counter_flushes_on_abort():
+    """A non-convergent solve still reports the backups it spent."""
+    mdp = make_instance("unichain", 3).mdp
+    reward = mdp.combined_reward({"num": 1.0, "den": 0.25})
+    with use_tracer(Tracer()) as tracer:
+        with pytest.raises(SolverError):
+            value_iteration(mdp, reward, discount=0.999999,
+                            epsilon=1e-12, max_iter=3)
+    assert tracer.counters["kernel/q_backups"] == 3

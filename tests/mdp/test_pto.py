@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError, SolverInputError
-from repro.mdp.backends import use_backend
 from repro.mdp.builder import MDPBuilder
 from repro.mdp.pto import solve_pto
 from repro.mdp.ratio import (
@@ -191,18 +190,16 @@ def test_warm_start_is_value_identical_to_cold(method):
 # -- differential conformance ------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["numpy", "reference"])
 @pytest.mark.parametrize("cls", INSTANCE_CLASSES)
-def test_methods_agree_with_exact_reference(cls, backend):
+def test_methods_agree_with_exact_reference(cls):
     """pto == dinkelbach == bisection == exact rational reference on
-    every generator class, under both compute backends."""
+    every generator class."""
     inst = make_instance(cls, 0)
     exact = float(exact_ratio(inst.mdp, inst.num, inst.den).value)
     hi = 2.0 * abs(exact) + 1.0
-    with use_backend(backend):
-        sols = {m: maximize_ratio(inst.mdp, inst.num, inst.den,
-                                  lo=-hi, hi=hi, tol=1e-9, method=m)
-                for m in ("dinkelbach", "bisection", "pto")}
+    sols = {m: maximize_ratio(inst.mdp, inst.num, inst.den,
+                              lo=-hi, hi=hi, tol=1e-9, method=m)
+            for m in ("dinkelbach", "bisection", "pto")}
     assert sols["pto"].method == "pto"
     assert sols["dinkelbach"].method == "dinkelbach"
     for method, sol in sols.items():

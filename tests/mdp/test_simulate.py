@@ -11,7 +11,9 @@ from repro.mdp.simulate import (
     rollout_batch,
     rollout_pooled,
 )
+from repro.mdp.policy_iteration import policy_iteration
 from repro.mdp.stationary import policy_gains
+from repro.qa.generators import make_instance
 from tests.mdp.helpers import (
     random_unichain_mdp,
     two_state_chain,
@@ -186,3 +188,22 @@ def test_batch_rejects_bad_arguments(rng):
     partial = b.build(start=0)
     with pytest.raises(SimulationError):
         rollout_batch(partial, np.array([1]), steps=10)
+
+
+def test_policy_tables_state_roundtrip():
+    mdp = make_instance("periodic", 1).mdp
+    reward = mdp.combined_reward({"num": 1.0, "den": 0.25})
+    policy = policy_iteration(mdp, reward).policy
+    tables = PolicyTables(mdp, policy)
+    tables.alias_tables()
+    clone = PolicyTables.from_state(tables.state_dict())
+    r0 = rollout_batch(mdp, policy, steps=300, n_traj=3, seed=2,
+                       tables=tables, method="alias")
+    r1 = rollout_batch(mdp, policy, steps=300, n_traj=3, seed=2,
+                       tables=clone, method="alias")
+    assert np.array_equal(r0.visits, r1.visits)
+    # The alias tables travelled prebuilt (identical objects, no
+    # rebuild on the clone).
+    assert clone._alias is not None
+    assert all(np.array_equal(a, b) for a, b in
+               zip(tables.alias_tables(), clone.alias_tables()))

@@ -81,6 +81,91 @@ def test_use_tracer_swaps_and_restores():
     assert outer.counters == {"n": 1}
 
 
+# -- concurrency: threads and asyncio tasks ----------------------------
+
+def test_spans_from_concurrent_threads_keep_their_own_paths():
+    """Regression: one shared span stack let 4 threads leave orphaned
+    entries behind and nest spans under another thread's span
+    (``outer-3/outer-0/.../inner``)."""
+    import threading
+    import time
+
+    tracer = telemetry.enable_tracing()
+    start = threading.Barrier(4, timeout=30)
+
+    def work(i):
+        start.wait()
+        for _ in range(50):
+            with span(f"outer-{i}"):
+                time.sleep(0.0002)
+                with span("inner"):
+                    time.sleep(0.0002)
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    paths = [e["path"] for e in tracer.events if e["type"] == "span"]
+    assert len(paths) == 400
+    assert sorted(set(paths)) == sorted(
+        [f"outer-{i}" for i in range(4)]
+        + [f"outer-{i}/inner" for i in range(4)])
+    assert all(paths.count(f"outer-{i}/inner") == 50 for i in range(4))
+    with span("after"):
+        pass
+    assert tracer.events[-1]["path"] == "after"  # nothing left open
+
+
+def test_counters_lose_no_increments_across_threads():
+    """Regression: the unlocked read-modify-write lost increments of
+    4 threads under a short switch interval."""
+    import sys
+    import threading
+
+    tracer = telemetry.enable_tracing()
+    per_thread = 20_000
+
+    def work():
+        for _ in range(per_thread):
+            counter_add("x")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert tracer.counters["x"] == 4 * per_thread
+
+
+def test_asyncio_tasks_interleaving_spans_keep_their_own_paths():
+    import asyncio
+
+    tracer = telemetry.enable_tracing()
+
+    async def request(name):
+        with span(name):
+            await asyncio.sleep(0)
+            with span("solve"):
+                await asyncio.sleep(0)
+            await asyncio.sleep(0)
+
+    async def main():
+        await asyncio.gather(request("a"), request("b"))
+
+    asyncio.run(main())
+    paths = [e["path"] for e in tracer.events if e["type"] == "span"]
+    assert sorted(paths) == ["a", "a/solve", "b", "b/solve"]
+
+
 def test_merge_snapshot_sums_counters_overwrites_gauges():
     parent = Tracer()
     parent.add("cells", 2)

@@ -423,55 +423,6 @@ def test_telemetry_counters_prove_coalescing(tmp_path):
     assert service.stats.coalesce_hit_rate() == pytest.approx(0.6)
 
 
-# -- the TCP front-end's oversized-request satellite -------------------
-
-
-def test_tcp_oversized_line_gets_typed_error_not_dropped(tmp_path):
-    """Pinned regression: a request line past the stream limit used to
-    raise out of readline() and silently drop the connection; it must
-    answer with the typed error instead, and the listener must keep
-    serving new connections."""
-    import json
-
-    async def solve(request, deadline):
-        return fake_payload(request.config,
-                            utility=request.config.alpha)
-
-    async def run():
-        from repro.serve.service import serve_tcp
-        service = make_service(tmp_path, solve)
-        server = await serve_tcp(service, "127.0.0.1", 0, limit=4096)
-        port = server.sockets[0].getsockname()[1]
-
-        reader, writer = await asyncio.open_connection("127.0.0.1",
-                                                       port)
-        writer.write(b'{"alpha": 0.2, "pad": "' + b"x" * 8192 +
-                     b'"}\n')
-        await writer.drain()
-        oversized = json.loads(await reader.readline())
-        writer.close()
-
-        # The listener survived: a fresh connection still solves.
-        reader, writer = await asyncio.open_connection("127.0.0.1",
-                                                       port)
-        writer.write(b'{"alpha": 0.2, "ratio": "2:3"}\n')
-        await writer.drain()
-        answered = json.loads(await reader.readline())
-        writer.close()
-
-        server.close()
-        await server.wait_closed()
-        await service.close()
-        return oversized, answered
-
-    oversized, answered = asyncio.run(run())
-    assert oversized["ok"] is False
-    assert oversized["error"] == "RequestTooLargeError"
-    assert "limit" in oversized["message"]
-    assert answered["ok"] is True
-    assert answered["utility"] == pytest.approx(0.2)
-
-
 # -- multi-process workers over one shared atlas -----------------------
 
 
