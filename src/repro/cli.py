@@ -29,26 +29,12 @@ and ``qa`` accept
 the span/counter/gauge registry as JSONL to FILE on the way out (see
 :mod:`repro.runtime.telemetry` and docs/observability.md).
 
-``tables``, ``validate``, ``serve`` and ``qa`` accept
-``--scheduler {serial,process,process:N}``, overriding how sweep cells
-are fanned out (:mod:`repro.runtime.parallel`).
-
-``attack``, ``tables``, ``serve``, ``bench`` and ``qa`` accept
-``--ratio-method
-{dinkelbach,bisection,pto}``, selecting the ratio-objective method for
-every relative-revenue/orphan-rate solve (see
-:mod:`repro.mdp.ratio` and docs/mdp-methods.md); the choice is
-exported through ``REPRO_RATIO_METHOD`` so spawned worker processes
-inherit it.
-
-``attack``, ``tables`` and ``bench`` accept ``--engine
-{exact,approx}``, selecting the average-reward solve engine:
-``approx`` routes models with at least ``APPROX_MIN_STATES`` states
-through the prioritized asynchronous value-iteration engine with
-certified error bounds (smaller models, and any approx-stage failure
-under a supervisor, fall back to the exact solvers; see
-:mod:`repro.mdp.approx` and docs/mdp-methods.md).  Exported through
-``REPRO_ENGINE`` for worker processes, like the other flags.
+Every solve is exact: Dinkelbach for the ratio objectives, policy
+iteration for the average reward, and the fallback chain of
+:mod:`repro.runtime.fallbacks` when supervised (``attack --timeout``,
+``serve``).  No flag or environment variable selects another method.
+Sweeps size their process pool with ``--workers`` (``tables``,
+``validate``, ``qa``) or ``--processes`` (``serve``).
 """
 
 from __future__ import annotations
@@ -462,8 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="wall-clock budget in seconds (supervised "
                              "solve with fallback chain)")
     _add_trace_flag(attack)
-    _add_ratio_method_flag(attack)
-    _add_engine_flag(attack)
     attack.set_defaults(func=cmd_attack)
 
     tables = sub.add_parser("tables", help="regenerate paper tables")
@@ -476,9 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="checkpoint directory; an interrupted run "
                              "resumes from it without re-solving")
     _add_trace_flag(tables)
-    _add_scheduler_flag(tables)
-    _add_ratio_method_flag(tables)
-    _add_engine_flag(tables)
     tables.set_defaults(func=cmd_tables)
 
     figures = sub.add_parser("figures", help="replay Figures 1-3")
@@ -517,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "Walker/Vose draws; tables are built "
                                "once and shared across workers)")
     _add_trace_flag(validate)
-    _add_scheduler_flag(validate)
     validate.set_defaults(func=cmd_validate)
 
     latency = sub.add_parser("latency", help="propagation-delay forks")
@@ -592,8 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "policy bodies (0 disables body caching)")
     serve.add_argument("--seed", type=int, default=0)
     _add_trace_flag(serve)
-    _add_scheduler_flag(serve)
-    _add_ratio_method_flag(serve)
     serve.set_defaults(func=cmd_serve, serve_parser=serve)
 
     chaos = sub.add_parser("chaos",
@@ -639,8 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="X")
     bench.add_argument("--repeat", type=int, default=1, metavar="N")
     _add_trace_flag(bench)
-    _add_ratio_method_flag(bench)
-    _add_engine_flag(bench)
     bench.set_defaults(func=cmd_bench)
 
     qa = sub.add_parser("qa",
@@ -660,8 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
     qa.add_argument("--report", default=None, metavar="FILE",
                     help="also write the full cell list as JSON")
     _add_trace_flag(qa)
-    _add_scheduler_flag(qa)
-    _add_ratio_method_flag(qa)
     qa.set_defaults(func=cmd_qa)
 
     trace = sub.add_parser("trace",
@@ -677,69 +651,9 @@ def _add_trace_flag(sub: argparse.ArgumentParser) -> None:
                           "JSONL to FILE (inspect with 'repro trace')")
 
 
-def _add_engine_flag(sub: argparse.ArgumentParser) -> None:
-    from repro.mdp.approx import ENGINE_NAMES
-    sub.add_argument("--engine", default=None, choices=ENGINE_NAMES,
-                     dest="solve_engine",
-                     help="average-reward solve engine: 'exact' "
-                          "(LU-backed policy iteration, the default) "
-                          "or 'approx' (prioritized asynchronous VI "
-                          "with certified a-posteriori bounds; only "
-                          "models above the size threshold take the "
-                          "approximate path)")
-
-
-def _add_ratio_method_flag(sub: argparse.ArgumentParser) -> None:
-    from repro.mdp.ratio import RATIO_METHODS
-    sub.add_argument("--ratio-method", default=None,
-                     choices=RATIO_METHODS, dest="ratio_method",
-                     help="ratio-objective method for relative-revenue "
-                          "and orphan-rate solves (default: dinkelbach; "
-                          "'pto' uses the probabilistic-termination "
-                          "reduction)")
-
-
-def _add_scheduler_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scheduler", default=None, metavar="SPEC",
-                     help="cell execution strategy: 'serial', "
-                          "'process' or 'process:N' (default: a local "
-                          "process pool sized by --workers)")
-
-
-def _apply_runtime_flags(args: argparse.Namespace) -> None:
-    """Install the ``--ratio-method`` / ``--engine`` / ``--scheduler``
-    selections before dispatching a subcommand.
-
-    The ratio method and engine are both selected in-process and
-    exported through their environment variables so worker processes
-    started with the ``spawn`` method (which inherit no module globals)
-    resolve to the same choice.
-    """
-    ratio_method = getattr(args, "ratio_method", None)
-    if ratio_method is not None:
-        import os
-
-        from repro.mdp import ratio
-        os.environ[ratio.RATIO_METHOD_ENV] = ratio_method
-        ratio.set_ratio_method(ratio_method)
-    engine = getattr(args, "solve_engine", None)
-    if engine is not None:
-        import os
-
-        from repro.mdp import approx
-        os.environ[approx.ENGINE_ENV] = engine
-        approx.set_engine(engine)
-    spec = getattr(args, "scheduler", None)
-    if spec is not None:
-        from repro.runtime.parallel import make_scheduler, \
-            set_default_scheduler
-        set_default_scheduler(make_scheduler(spec))
-
-
 def _run_traced(args: argparse.Namespace) -> int:
     """Dispatch ``args.func``, wrapping it in a telemetry session when
     the subcommand was given ``--trace FILE``."""
-    _apply_runtime_flags(args)
     trace_path = getattr(args, "trace", None)
     if trace_path is None:
         return args.func(args)

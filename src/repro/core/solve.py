@@ -24,8 +24,6 @@ from repro.core.attack_mdp import build_attack_mdp
 from repro.core.config import AttackConfig
 from repro.core.incentives import IncentiveModel
 from repro.errors import ReproError
-from repro.mdp.approx import approx_average_reward, approx_average_solver, \
-    engine_prefers_approx
 from repro.mdp.model import MDP
 from repro.mdp.policy import Policy
 from repro.mdp.policy_iteration import policy_iteration
@@ -56,11 +54,9 @@ class AttackAnalysis:
         policy.
     solver:
         Provenance of the solve: ``{"method", "iterations",
-        "transformed_solves", "engine"}`` (the ratio method or
-        average-reward stage that produced the answer, what it cost,
-        and whether the exact or the approximate engine ran it).
-        ``None`` on analyses loaded from artifacts that predate this
-        field.
+        "transformed_solves"}`` (the ratio method or average-reward
+        stage that produced the answer, and what it cost).  ``None``
+        on analyses loaded from artifacts that predate this field.
     """
 
     config: AttackConfig
@@ -93,47 +89,39 @@ def _prepare(config: AttackConfig, model: IncentiveModel,
     return config, mdp
 
 
-def _ratio_solver_info(solution,
-                       engine: str = "exact") -> Dict[str, object]:
+def _ratio_solver_info(solution) -> Dict[str, object]:
     return {"method": solution.method,
             "iterations": solution.iterations,
-            "transformed_solves": solution.transformed_solves,
-            "engine": engine}
+            "transformed_solves": solution.transformed_solves}
 
 
 def solve_relative_revenue(config: AttackConfig,
                            mdp: Optional[MDP] = None,
                            tol: float = 1e-7,
                            supervisor=None,
-                           ratio_method: Optional[str] = None,
                            initial_policy: Optional[np.ndarray] = None
                            ) -> AttackAnalysis:
     """Maximize Alice's relative revenue u_A1 (Eq. 1).
 
     ``supervisor`` optionally routes the solve through a
     :class:`repro.runtime.supervisor.SolverSupervisor` (budgets,
-    validation and the fallback chain).  ``ratio_method`` selects the
-    ratio-objective method for this solve (``None`` defers to the
-    process-global default); ``initial_policy`` warm-starts the first
-    transformed solve (e.g. with the optimum of an adjacent sweep
-    cell).
+    validation and the fallback chain).  ``initial_policy``
+    warm-starts the first transformed solve (e.g. with the optimum of
+    an adjacent sweep cell).
     """
     with span("solve/relative"):
         counter_add("solve/relative")
         config, mdp = _prepare(config, IncentiveModel.COMPLIANT_PROFIT,
                                mdp)
         num, den = IncentiveModel.COMPLIANT_PROFIT.utility_channels()
-        approx = engine_prefers_approx(mdp)
         if supervisor is not None:
             solution = supervisor.solve_ratio(
                 mdp, num, den, lo=0.0, hi=1.0, tol=tol,
-                initial_policy=initial_policy, method=ratio_method)
-            approx = supervisor.last_stage == "approx"
+                initial_policy=initial_policy)
         else:
             solution = maximize_ratio(
                 mdp, num, den, lo=0.0, hi=1.0, tol=tol,
-                method=ratio_method, initial_policy=initial_policy,
-                solver=approx_average_solver() if approx else None)
+                initial_policy=initial_policy)
         policy = Policy(mdp, solution.policy)
         rates = policy_gains(mdp, solution.policy)
     return AttackAnalysis(config=config,
@@ -141,9 +129,7 @@ def solve_relative_revenue(config: AttackConfig,
                           utility=solution.value,
                           honest_utility=config.alpha,
                           policy=policy, rates=rates,
-                          solver=_ratio_solver_info(
-                              solution,
-                              engine="approx" if approx else "exact"))
+                          solver=_ratio_solver_info(solution))
 
 
 def solve_absolute_reward(config: AttackConfig,
@@ -166,10 +152,6 @@ def solve_absolute_reward(config: AttackConfig,
                 mdp, mdp.combined_reward(dict(num)),
                 initial_policy=initial_policy)
             method = supervisor.last_stage or "policy-iteration"
-        elif engine_prefers_approx(mdp):
-            solution = approx_average_reward(
-                mdp, mdp.combined_reward(dict(num)))
-            method = "approx"
         else:
             solution = policy_iteration(mdp,
                                         mdp.combined_reward(dict(num)),
@@ -191,7 +173,6 @@ def solve_orphan_rate(config: AttackConfig,
                       mdp: Optional[MDP] = None,
                       tol: float = 1e-6,
                       supervisor=None,
-                      ratio_method: Optional[str] = None,
                       initial_policy: Optional[np.ndarray] = None
                       ) -> AttackAnalysis:
     """Maximize others' blocks orphaned per Alice block, u_A3 (Eq. 3)."""
@@ -199,51 +180,42 @@ def solve_orphan_rate(config: AttackConfig,
         counter_add("solve/orphans")
         config, mdp = _prepare(config, IncentiveModel.NON_PROFIT, mdp)
         num, den = IncentiveModel.NON_PROFIT.utility_channels()
-        approx = engine_prefers_approx(mdp)
         if supervisor is not None:
             solution = supervisor.solve_ratio(
                 mdp, num, den, lo=0.0, hi=float(config.ad), tol=tol,
-                initial_policy=initial_policy, method=ratio_method)
-            approx = supervisor.last_stage == "approx"
+                initial_policy=initial_policy)
         else:
             solution = maximize_ratio(
                 mdp, num, den, lo=0.0, hi=float(config.ad), tol=tol,
-                method=ratio_method, initial_policy=initial_policy,
-                solver=approx_average_solver() if approx else None)
+                initial_policy=initial_policy)
         policy = Policy(mdp, solution.policy)
         rates = policy_gains(mdp, solution.policy)
     return AttackAnalysis(config=config, model=IncentiveModel.NON_PROFIT,
                           utility=solution.value,
                           honest_utility=0.0,
                           policy=policy, rates=rates,
-                          solver=_ratio_solver_info(
-                              solution,
-                              engine="approx" if approx else "exact"))
+                          solver=_ratio_solver_info(solution))
 
 
 def analyze(config: AttackConfig, model: IncentiveModel,
             mdp: Optional[MDP] = None, supervisor=None,
-            ratio_method: Optional[str] = None,
             initial_policy: Optional[np.ndarray] = None
             ) -> AttackAnalysis:
     """Dispatch to the solver matching ``model``.
 
     Passing a :class:`repro.runtime.supervisor.SolverSupervisor` as
     ``supervisor`` runs the solve under budgets, input/output
-    validation and the fallback chain.  ``ratio_method`` selects the
-    ratio-objective method (ignored by the average-reward model);
-    ``initial_policy`` warm-starts the solve.
+    validation and the fallback chain.  ``initial_policy``
+    warm-starts the solve.
     """
     if model is IncentiveModel.COMPLIANT_PROFIT:
         return solve_relative_revenue(config, mdp, supervisor=supervisor,
-                                      ratio_method=ratio_method,
                                       initial_policy=initial_policy)
     if model is IncentiveModel.NONCOMPLIANT_PROFIT:
         return solve_absolute_reward(config, mdp, supervisor=supervisor,
                                      initial_policy=initial_policy)
     if model is IncentiveModel.NON_PROFIT:
         return solve_orphan_rate(config, mdp, supervisor=supervisor,
-                                 ratio_method=ratio_method,
                                  initial_policy=initial_policy)
     raise ReproError(f"unknown incentive model {model!r}")
 

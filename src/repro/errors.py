@@ -55,14 +55,6 @@ class SolverInputError(SolverError):
     tolerance, empty channel mappings, invalid bracket, ...)."""
 
 
-class SchedulerSpecError(SolverInputError):
-    """A scheduler spec is malformed -- a zero, negative or
-    non-numeric worker count -- and was rejected at parse time, before
-    any pool is constructed.  Subclass of
-    :class:`SolverInputError` so supervised sweeps treat it as a
-    non-retryable caller mistake."""
-
-
 class SolverDivergedError(SolverError):
     """A solver produced non-finite intermediate or final values (NaN
     or infinite gains/ratios) instead of a usable solution."""

@@ -12,18 +12,11 @@ model), so it does nothing but append to flat lists; all merging and
 matrix assembly happens vectorized in :meth:`MDPBuilder.build` (CSR
 construction from COO triplets sums duplicates, ``np.add.at``
 accumulates expected rewards).
-
-For lookahead caps well past the paper's ``ad=6`` (the approximate
-engine's territory: hundreds of thousands of states), even one Python
-call per transition is too slow; :meth:`MDPBuilder.state_ids` bulk-
-interns key sequences and :meth:`MDPBuilder.add_batch` records whole
-transition arrays per action, stored as chunks and concatenated once
-at :meth:`MDPBuilder.build`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -55,13 +48,6 @@ class MDPBuilder:
         # prob * reward) triplets, appended only for nonzero rewards.
         self._rew: Dict[str, Tuple[List[int], List[int], List[float]]] = {
             c: ([], [], []) for c in self.channels}
-        # Array chunks appended by add_batch(); concatenated with the
-        # flat lists at build() time.
-        self._batch: List[Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                np.ndarray]] = []
-        self._rew_batch: Dict[str, List[Tuple[np.ndarray, np.ndarray,
-                                              np.ndarray]]] = {
-            c: [] for c in self.channels}
 
     def state_id(self, key: Hashable) -> int:
         """Intern ``key`` and return its state index."""
@@ -112,76 +98,6 @@ class MDPBuilder:
                     lists[0].append(s)
                     lists[1].append(a)
                     lists[2].append(prob * value)
-
-    def state_ids(self, keys: Sequence[Hashable]) -> np.ndarray:
-        """Bulk-intern a sequence of state keys -> ``(len(keys),)``
-        index array (the vectorized companion of :meth:`state_id`)."""
-        return np.fromiter((self.state_id(k) for k in keys),
-                           dtype=np.intp, count=len(keys))
-
-    def add_batch(self, states, action: str, next_states, probs,
-                  **rewards) -> None:
-        """Record many transitions of one action at once, array-based.
-
-        This is the path for lookahead caps well past the paper's
-        ``ad=6`` (hundreds of thousands of generated transitions),
-        where one Python-level :meth:`add` call per transition
-        dominates the build.  ``states`` and ``next_states`` are
-        pre-interned index arrays (see :meth:`state_ids`), ``probs``
-        the per-transition probabilities, and each ``rewards`` entry a
-        per-transition reward array for that channel (converted to
-        expected rewards exactly like :meth:`add`).  Zero-probability
-        entries are dropped, matching the scalar path.
-        """
-        a = self._action_index.get(action)
-        if a is None:
-            raise MDPError(f"unknown action {action!r}")
-        src = np.asarray(states, dtype=np.intp)
-        dst = np.asarray(next_states, dtype=np.intp)
-        prob = np.asarray(probs, dtype=float)
-        if not (src.shape == dst.shape == prob.shape
-                and src.ndim == 1):
-            raise MDPError(
-                f"add_batch arrays disagree in shape: states "
-                f"{src.shape}, next_states {dst.shape}, probs "
-                f"{prob.shape}")
-        n = len(self._keys)
-        for name, arr in (("states", src), ("next_states", dst)):
-            if arr.size and (arr.min() < 0 or arr.max() >= n):
-                raise MDPError(
-                    f"add_batch {name} contains indices outside the "
-                    f"{n} interned states; intern keys with "
-                    f"state_ids() first")
-        if prob.size and (prob.min() < 0 or prob.max() > 1 + PROB_TOL):
-            bad = float(prob[(prob < 0)
-                             | (prob > 1 + PROB_TOL)][0])
-            raise InvalidTransitionError(
-                f"probability {bad} out of range")
-        keep: Optional[np.ndarray] = None
-        if (prob == 0).any():
-            keep = prob != 0
-            src, dst, prob = src[keep], dst[keep], prob[keep]
-        act = np.full(src.shape, a, dtype=np.intp)
-        self._batch.append((src, act, dst, prob))
-        for name, values in rewards.items():
-            chunks = self._rew_batch.get(name)
-            if chunks is None:
-                unknown = sorted(set(rewards) - set(self.channels))
-                raise MDPError(f"unknown reward channels {unknown}")
-            vals = np.asarray(values, dtype=float)
-            if keep is not None:
-                if vals.shape != keep.shape:
-                    raise MDPError(
-                        f"add_batch reward channel {name!r} has shape "
-                        f"{vals.shape}, expected {keep.shape}")
-                vals = vals[keep]
-            elif vals.shape != src.shape:
-                raise MDPError(
-                    f"add_batch reward channel {name!r} has shape "
-                    f"{vals.shape}, expected {src.shape}")
-            nz = vals != 0.0
-            if nz.any():
-                chunks.append((src[nz], act[nz], prob[nz] * vals[nz]))
 
     def extend(self, transitions) -> None:
         """Bulk-record an iterable of raw ``(state, action,
@@ -243,33 +159,16 @@ class MDPBuilder:
         """
         if start not in self._index:
             raise MDPError(f"unknown start state {start!r}")
-        src_parts = [np.asarray(self._src, dtype=np.intp)]
-        act_parts = [np.asarray(self._act, dtype=np.intp)]
-        dst_parts = [np.asarray(self._dst, dtype=np.intp)]
-        prob_parts = [np.asarray(self._prob, dtype=float)]
-        for b_src, b_act, b_dst, b_prob in self._batch:
-            src_parts.append(b_src)
-            act_parts.append(b_act)
-            dst_parts.append(b_dst)
-            prob_parts.append(b_prob)
-        src = np.concatenate(src_parts)
-        act = np.concatenate(act_parts)
-        dst = np.concatenate(dst_parts)
-        prob = np.concatenate(prob_parts)
-        rew = {}
-        for name in self.channels:
-            ss, aa, vv = self._rew[name]
-            chunks = self._rew_batch[name]
-            rew[name] = (
-                np.concatenate([np.asarray(ss, dtype=np.intp)]
-                               + [c[0] for c in chunks]),
-                np.concatenate([np.asarray(aa, dtype=np.intp)]
-                               + [c[1] for c in chunks]),
-                np.concatenate([np.asarray(vv, dtype=float)]
-                               + [c[2] for c in chunks]))
-        return assemble_mdp(self._keys, self.actions, src, act, dst,
-                            prob, rew, self._index[start],
-                            validate=validate)
+        rew = {name: (np.asarray(ss, dtype=np.intp),
+                      np.asarray(aa, dtype=np.intp),
+                      np.asarray(vv, dtype=float))
+               for name, (ss, aa, vv) in self._rew.items()}
+        return assemble_mdp(self._keys, self.actions,
+                            np.asarray(self._src, dtype=np.intp),
+                            np.asarray(self._act, dtype=np.intp),
+                            np.asarray(self._dst, dtype=np.intp),
+                            np.asarray(self._prob, dtype=float), rew,
+                            self._index[start], validate=validate)
 
 
 def assemble_mdp(keys, actions, src, act, dst, prob, rew_scatter,

@@ -207,9 +207,9 @@ def q_backup_states(mdp, reward: np.ndarray, values: np.ndarray,
                     ) -> Tuple[np.ndarray, np.ndarray]:
     """Q-backup over a *subset* of states: ``(best, policy)`` arrays
     of length ``len(states)``, bit-identical to slicing
-    :func:`q_backup_max`'s result at ``states``.  The sweep shape of
-    the prioritized asynchronous engine (:mod:`repro.mdp.approx`),
-    which backs up only the states popped off its residual queue.
+    :func:`q_backup_max`'s result at ``states``.  No solver calls it
+    any more; it stays because the benchmark's tracer
+    (``perfbench/tracing.py``) wraps it by name.
 
     Row-slices the stack at every (action, state) pair of the subset,
     then runs the same dot/discount/add/mask sequence as the full

@@ -97,8 +97,9 @@ def solve_pto(mdp: MDP, num: Mapping[str, float],
     fallback exactly like Dinkelbach's.
 
     Parameters mirror :func:`repro.mdp.ratio.maximize_ratio`;
-    ``termination`` is the PT stopping probability ``eps`` per
-    normalized denominator unit.
+    ``on_solve`` is called with the running count of PT
+    factorizations, and ``termination`` is the PT stopping
+    probability ``eps`` per normalized denominator unit.
     """
     if not 0.0 < termination < 1.0:
         raise SolverInputError(

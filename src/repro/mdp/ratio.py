@@ -26,19 +26,13 @@ Three methods are provided:
   are independent of ``rho``, so one factorization per distinct policy
   serves every outer iteration.  Falls back to bisection on the same
   degeneracies as Dinkelbach (zero-denominator policies make the
-  terminated system singular).
+  terminated system singular).  Reached only by an explicit
+  ``method="pto"``; no solve of the paper's pipeline uses it.
 
 Every method threads the previous iterate's policy and bias vector
 into the next transformed solve as a :class:`WarmStart`, so successive
 solves start near their fixed point instead of from scratch (counter
 ``solver/ratio/warm_start_hits``).
-
-The process-global default method resolves in a fixed order:
-explicit :func:`set_ratio_method` wins over the
-``REPRO_RATIO_METHOD`` environment variable, which wins over
-``"dinkelbach"``.  ``maximize_ratio(method=None)`` resolves through
-:func:`current_ratio_method`, which is how the ``--ratio-method`` CLI
-flag reaches every solve, including in spawned sweep workers.
 
 With ``strict=True`` the Dinkelbach and PTO methods raise a typed
 :class:`~repro.errors.SolverError` on degeneracy or iteration
@@ -49,7 +43,6 @@ to make each recovery step explicit and diagnosable.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -72,41 +65,8 @@ GAIN_TOL = 1e-10
 #: ``g_den / max|r_den|``, not to ``g_den`` itself.
 DEN_FLOOR = 1e-9
 
-#: Recognized ratio-objective methods, in fallback-chain order.
+#: Recognized ratio-objective methods.
 RATIO_METHODS = ("dinkelbach", "bisection", "pto")
-
-#: Environment variable naming the default ratio method (precedence:
-#: explicit setter > env > built-in default).
-RATIO_METHOD_ENV = "REPRO_RATIO_METHOD"
-
-_ratio_method: Optional[str] = None
-
-
-def set_ratio_method(method: Optional[str]) -> None:
-    """Set the process-global default ratio method (``None`` resets to
-    the environment/default resolution order)."""
-    if method is not None and method not in RATIO_METHODS:
-        raise SolverInputError(
-            f"unknown ratio method {method!r}; expected one of "
-            f"{RATIO_METHODS}")
-    global _ratio_method
-    _ratio_method = method
-
-
-def current_ratio_method() -> str:
-    """The ratio method ``maximize_ratio(method=None)`` will use:
-    explicit :func:`set_ratio_method` > ``REPRO_RATIO_METHOD`` env >
-    ``"dinkelbach"``."""
-    if _ratio_method is not None:
-        return _ratio_method
-    env = os.environ.get(RATIO_METHOD_ENV, "").strip()
-    if env:
-        if env not in RATIO_METHODS:
-            raise SolverInputError(
-                f"{RATIO_METHOD_ENV}={env!r} names an unknown ratio "
-                f"method; expected one of {RATIO_METHODS}")
-        return env
-    return "dinkelbach"
 
 
 @dataclass
@@ -206,19 +166,18 @@ def _validate_inputs(num: Mapping[str, float], den: Mapping[str, float],
         raise SolverInputError(f"ratio bracket [{lo!r}, {hi!r}] must be "
                                "finite")
     if hi <= lo:
-        raise SolverError("ratio bracket must satisfy lo < hi")
+        raise SolverInputError("ratio bracket must satisfy lo < hi")
     if method not in RATIO_METHODS:
-        raise SolverError(f"unknown method {method!r}")
+        raise SolverInputError(f"unknown method {method!r}")
 
 
 def maximize_ratio(mdp: MDP, num: Mapping[str, float],
                    den: Mapping[str, float], lo: float, hi: float,
                    tol: float = 1e-7, max_iter: int = 80,
-                   method: Optional[str] = None,
+                   method: str = "dinkelbach",
                    initial_policy: Optional[np.ndarray] = None,
                    strict: bool = False,
-                   solver: Optional[AverageRewardSolver] = None,
-                   on_solve: Optional[Callable[[int], None]] = None
+                   solver: Optional[AverageRewardSolver] = None
                    ) -> RatioSolution:
     """Maximize ``gain(num) / gain(den)`` over stationary policies.
 
@@ -231,9 +190,8 @@ def maximize_ratio(mdp: MDP, num: Mapping[str, float],
     tol:
         Absolute precision of the returned ratio.
     method:
-        ``"dinkelbach"`` or ``"pto"`` (each with automatic bisection
-        fallback unless ``strict``) or ``"bisection"``.  ``None``
-        (default) resolves via :func:`current_ratio_method`.
+        ``"dinkelbach"`` (default) or ``"pto"`` (each with automatic
+        bisection fallback unless ``strict``) or ``"bisection"``.
     initial_policy:
         Optional warm start.
     strict:
@@ -248,12 +206,7 @@ def maximize_ratio(mdp: MDP, num: Mapping[str, float],
         supervised fallback chain substitutes relative value iteration
         or the occupation-measure LP here.  (The PTO method performs
         its own terminated evaluations and does not use this.)
-    on_solve:
-        Called with the running transformed-solve count after each
-        solve -- a budget supervisor's tick hook.
     """
-    if method is None:
-        method = current_ratio_method()
     _validate_inputs(num, den, lo, hi, tol, max_iter, method)
     if solver is None:
         solver = _default_solver
@@ -278,8 +231,6 @@ def maximize_ratio(mdp: MDP, num: Mapping[str, float],
         solution = solver(mdp, reward, warm)
         solves += 1
         counter_add("solver/ratio/transformed_solves")
-        if on_solve is not None:
-            on_solve(solves)
         return solution
 
     def finish(solution: RatioSolution,
@@ -295,7 +246,7 @@ def maximize_ratio(mdp: MDP, num: Mapping[str, float],
         try:
             solution, residual = solve_pto(
                 mdp, num, den, lo, hi, tol=tol, max_iter=max_iter,
-                initial_policy=initial_policy, on_solve=on_solve)
+                initial_policy=initial_policy)
             return finish(solution, residual)
         except SolverInputError:
             raise  # malformed problem; no method can recover

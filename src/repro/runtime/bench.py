@@ -446,8 +446,9 @@ def bench_ratio_methods(fast: bool) -> Dict:
     """Per-method cost of the relative-revenue ratio solve.
 
     Runs the setting-2 acceptance cell through each ratio-objective
-    method (Dinkelbach, bisection, PTO) from a cold cache and records
-    per-method wall time, transformed average-reward solve counts
+    method (Dinkelbach, bisection, PTO), each named explicitly to
+    :func:`~repro.mdp.ratio.maximize_ratio`, from a cold cache and
+    records per-method wall time, transformed average-reward solve counts
     (``solver/ratio/transformed_solves``), PT evaluation counts
     (``solver/ratio/pto/transformed_solves``) and warm-start hits.
 
@@ -461,9 +462,11 @@ def bench_ratio_methods(fast: bool) -> Dict:
     """
     from repro.core.attack_mdp import build_attack_mdp, \
         clear_attack_mdp_cache
-    from repro.core.solve import solve_relative_revenue
+    from repro.core.incentives import IncentiveModel
+    from repro.mdp.ratio import maximize_ratio
 
     config = _set2_config(fast)
+    num, den = IncentiveModel.COMPLIANT_PROFIT.utility_channels()
     per_method: Dict[str, Dict] = {}
     for method in ("dinkelbach", "bisection", "pto"):
         clear_attack_mdp_cache()
@@ -471,15 +474,15 @@ def bench_ratio_methods(fast: bool) -> Dict:
 
         def run(method=method, mdp=mdp):
             start = time.perf_counter()
-            analysis = solve_relative_revenue(config, mdp,
-                                              ratio_method=method)
-            return analysis, time.perf_counter() - start
+            solution = maximize_ratio(mdp, num, den, lo=0.0, hi=1.0,
+                                      tol=1e-7, method=method)
+            return solution, time.perf_counter() - start
 
-        (analysis, wall), counters = _counters_during(run)
+        (solution, wall), counters = _counters_during(run)
         per_method[method] = {
             "wall_s": wall,
-            "value": analysis.utility,
-            "method_used": analysis.solver["method"],
+            "value": solution.value,
+            "method_used": solution.method,
             "avg_solves":
                 counters.get("solver/ratio/transformed_solves", 0),
             "pt_solves":
@@ -522,85 +525,6 @@ def bench_ratio_methods(fast: bool) -> Dict:
                         "pto_wall_s": round(pto["wall_s"], 4)}}
 
 
-def bench_approx_scale(fast: bool) -> Dict:
-    """Approximate-engine relative-revenue solve past the exact scale.
-
-    Builds the setting-2 cell at ``ad=12`` -- 435,580 states, more
-    than 10x the 30,595-state acceptance cell -- and times a
-    Dinkelbach solve whose inner average-reward solves all run on the
-    approximate engine (:mod:`repro.mdp.approx`); ``fast`` shrinks the
-    cap to ``ad=4`` so CI smoke finishes in seconds.
-
-    Three correctness gates fail the benchmark outright, independent
-    of timing: every inner solve must answer as the approximate engine
-    with a certificate (no silent fallback); the certified truncation
-    bound of the final inner solve must stay below 1e-6; and in fast
-    mode (where the exact solver is cheap) the approx utility must
-    agree with the exact Dinkelbach utility within 1e-6.
-    """
-    from repro.core.attack_mdp import build_attack_mdp, \
-        clear_attack_mdp_cache
-    from repro.core.config import AttackConfig
-    from repro.core.incentives import IncentiveModel
-    from repro.mdp.approx import ApproxSolution, approx_average_solver
-    from repro.mdp.ratio import maximize_ratio
-
-    config = AttackConfig.from_ratio(0.25, (1, 1), setting=2,
-                                     ad=4 if fast else 12)
-    clear_attack_mdp_cache()
-    mdp = build_attack_mdp(config)
-    num, den = IncentiveModel.COMPLIANT_PROFIT.utility_channels()
-
-    inner: List = []
-    base_solver = approx_average_solver()
-
-    def solver(model, reward, warm=None):
-        solution = base_solver(model, reward, warm)
-        inner.append(solution)
-        return solution
-
-    def run():
-        start = time.perf_counter()
-        solution = maximize_ratio(mdp, num, den, lo=0.0, hi=1.0,
-                                  tol=1e-7, method="dinkelbach",
-                                  solver=solver)
-        return solution, time.perf_counter() - start
-
-    (solution, wall), counters = _counters_during(run)
-
-    if not inner or not all(isinstance(sol, ApproxSolution)
-                            and sol.certified for sol in inner):
-        raise ReproError(
-            "approx-scale inner solves did not all answer as the "
-            "certified approximate engine; the benchmark is not "
-            "measuring what it claims")
-    bound = inner[-1].bound
-    if not bound <= 1e-6:
-        raise ReproError(
-            f"approx-scale certified bound {bound!r} exceeds the 1e-6 "
-            "target; the engine no longer solves this cell within its "
-            "certificate")
-    if fast:
-        exact = maximize_ratio(mdp, num, den, lo=0.0, hi=1.0,
-                               tol=1e-7, method="dinkelbach")
-        drift = abs(solution.value - exact.value)
-        if drift > 1e-6 * max(1.0, abs(exact.value)):
-            raise ReproError(
-                f"approx utility {solution.value!r} disagrees with the "
-                f"exact Dinkelbach utility {exact.value!r}")
-    return {"wall_time_s": wall,
-            "metrics": {"n_states": mdp.n_states,
-                        "utility": solution.value,
-                        "bound": bound,
-                        "inner_solves": len(inner),
-                        "sweeps":
-                            counters.get("solver/approx/sweeps", 0),
-                        "queue_pops":
-                            counters.get("solver/approx/queue_pops", 0),
-                        "degraded":
-                            counters.get("solver/approx/degraded", 0)}}
-
-
 #: name -> benchmark callable; each returns {"wall_time_s", "metrics"}.
 BENCHMARKS: Dict[str, Callable[[bool], Dict]] = {
     "attack-build": bench_attack_build,
@@ -608,7 +532,6 @@ BENCHMARKS: Dict[str, Callable[[bool], Dict]] = {
     "attack-e2e": bench_attack_e2e,
     "reward-rebuild": bench_reward_rebuild,
     "ratio-methods": bench_ratio_methods,
-    "approx-scale": bench_approx_scale,
     "sim-rollout": bench_sim_rollout,
     "sim-validate": bench_sim_validate,
     "serve-smoke": bench_serve_smoke,

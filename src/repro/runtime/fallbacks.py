@@ -12,17 +12,16 @@ immediately.
 Two problem shapes are covered, mirroring what the paper's analyses
 run in bulk:
 
-- **ratio maximization** (:class:`RatioRequest`), default chain
-  Dinkelbach -> bisection -> bisection over relative value iteration
-  -> bisection over the occupation-measure LP; selecting the PTO
-  method (:func:`ratio_chain_for`) prepends a strict PTO stage, so a
-  PTO failure (e.g. a zero-denominator policy making the terminated
-  system singular) falls back to the full default chain; selecting
-  ``--engine approx`` prepends a strict approximate-engine stage for
-  models above ``APPROX_MIN_STATES`` states (smaller models keep the
-  exact chain unchanged);
-- **average-reward maximization** (:class:`AverageRequest`), default
-  chain policy iteration -> relative value iteration -> LP.
+- **ratio maximization** (:class:`RatioRequest`),
+  :data:`RATIO_CHAIN`: Dinkelbach -> bisection -> bisection over
+  relative value iteration -> bisection over the occupation-measure
+  LP;
+- **average-reward maximization** (:class:`AverageRequest`),
+  :data:`AVERAGE_CHAIN`: policy iteration -> relative value iteration
+  -> LP.
+
+Every supervised solve runs one of these two chains; no flag or
+environment variable selects another.
 
 The later stages trade exactness of the warm-started sparse solves for
 independence from them: relative value iteration performs no linear
@@ -44,21 +43,11 @@ from repro.errors import (
     SolverError,
     SolverInputError,
 )
-from repro.mdp.approx import (
-    approx_average_reward,
-    approx_average_solver,
-    engine_prefers_approx,
-)
 from repro.mdp.average_reward import relative_value_iteration
 from repro.mdp.linear_programming import lp_average_reward
 from repro.mdp.model import MDP
 from repro.mdp.policy_iteration import AverageRewardSolution, policy_iteration
-from repro.mdp.ratio import (
-    RatioSolution,
-    WarmStart,
-    current_ratio_method,
-    maximize_ratio,
-)
+from repro.mdp.ratio import RatioSolution, WarmStart, maximize_ratio
 from repro.runtime.budget import BudgetClock
 from repro.runtime.telemetry import counter_add, span
 
@@ -168,37 +157,6 @@ def _ratio_dinkelbach(request: RatioRequest,
                           strict=True, solver=_pi_solver(clock))
 
 
-def _ratio_pto(request: RatioRequest,
-               clock: Optional[BudgetClock]) -> RatioSolution:
-    on_solve = None
-    if clock is not None:
-        def on_solve(_n: int) -> None:
-            clock.tick()
-    return maximize_ratio(request.mdp, request.num, request.den,
-                          lo=request.lo, hi=request.hi, tol=request.tol,
-                          max_iter=request.max_iter, method="pto",
-                          initial_policy=request.initial_policy,
-                          strict=True, on_solve=on_solve)
-
-
-def _ratio_approx(request: RatioRequest,
-                  clock: Optional[BudgetClock]) -> RatioSolution:
-    # Strict, like the other leading stages: an approx-engine failure
-    # (non-convergence within the sweep budget) falls through to the
-    # exact chain instead of silently bisecting inside this stage.
-    on_iter = None
-    if clock is not None:
-        def on_iter(it: int) -> None:
-            if it % 100 == 0:
-                clock.tick(100)
-    return maximize_ratio(request.mdp, request.num, request.den,
-                          lo=request.lo, hi=request.hi, tol=request.tol,
-                          max_iter=request.max_iter, method="dinkelbach",
-                          initial_policy=request.initial_policy,
-                          strict=True,
-                          solver=approx_average_solver(on_iter=on_iter))
-
-
 def _ratio_bisection(solver_factory):
     def stage(request: RatioRequest,
               clock: Optional[BudgetClock]) -> RatioSolution:
@@ -219,53 +177,7 @@ RATIO_CHAIN: Tuple[Tuple[str, Callable], ...] = (
 )
 
 
-def ratio_chain_for(method: Optional[str] = None,
-                    mdp: Optional[MDP] = None
-                    ) -> Tuple[Tuple[str, Callable], ...]:
-    """The ratio fallback chain for a selected method (``None``
-    resolves via :func:`repro.mdp.ratio.current_ratio_method`).
-
-    ``"pto"`` prepends a strict PTO stage to the full default chain;
-    ``"bisection"`` skips the Dinkelbach stage; ``"dinkelbach"`` is the
-    default chain unchanged.  When ``mdp`` is given and the selected
-    solve engine routes it to the approximate path
-    (:func:`repro.mdp.approx.engine_prefers_approx` -- ``--engine
-    approx`` and at least ``APPROX_MIN_STATES`` states), a strict
-    approx stage is prepended, so large models try the prioritized
-    asynchronous engine first and *fall back to the exact solvers*
-    on any failure; small models never see the approx stage.
-    """
-    if method is None:
-        method = current_ratio_method()
-    if method == "pto":
-        chain: Tuple[Tuple[str, Callable], ...] = \
-            (("pto", _ratio_pto),) + RATIO_CHAIN
-    elif method == "bisection":
-        chain = RATIO_CHAIN[1:]
-    elif method == "dinkelbach":
-        chain = RATIO_CHAIN
-    else:
-        raise SolverInputError(
-            f"unknown ratio method {method!r} for fallback chain "
-            f"selection")
-    if mdp is not None and engine_prefers_approx(mdp):
-        chain = (("approx", _ratio_approx),) + chain
-    return chain
-
-
 # -- average-reward stages ---------------------------------------------
-
-def _average_approx(request: AverageRequest,
-                    clock: Optional[BudgetClock]
-                    ) -> AverageRewardSolution:
-    on_iter = None
-    if clock is not None:
-        def on_iter(it: int) -> None:
-            if it % 100 == 0:
-                clock.tick(100)
-    return approx_average_reward(request.mdp, request.reward,
-                                 on_iter=on_iter)
-
 
 def _average_pi(request: AverageRequest,
                 clock: Optional[BudgetClock]) -> AverageRewardSolution:
@@ -290,16 +202,6 @@ AVERAGE_CHAIN: Tuple[Tuple[str, Callable], ...] = (
     ("value-iteration", _average_rvi),
     ("lp", _average_lp),
 )
-
-
-def average_chain_for(mdp: Optional[MDP] = None
-                      ) -> Tuple[Tuple[str, Callable], ...]:
-    """The average-reward fallback chain, with a strict approx stage
-    prepended when the selected engine routes ``mdp`` to the
-    approximate path (same rule as :func:`ratio_chain_for`)."""
-    if mdp is not None and engine_prefers_approx(mdp):
-        return (("approx", _average_approx),) + AVERAGE_CHAIN
-    return AVERAGE_CHAIN
 
 
 @dataclass

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import AttackConfig
 from repro.core.incentives import IncentiveModel
-from repro.errors import ReproError, SchedulerSpecError
+from repro.errors import ReproError
 from repro.runtime import telemetry
 
 #: Task kinds understood by :func:`execute_task`.
@@ -166,109 +166,8 @@ Tracer` for the duration (a fork-started worker inherits the parent's
 ProgressFn = Optional[Callable[[SolveTask, object], None]]
 
 
-class Scheduler:
-    """Strategy for executing a batch of independent cells.
-
-    :func:`run_cells` historically hard-coded one strategy (an
-    in-process loop below a worker threshold, a
-    :class:`~concurrent.futures.ProcessPoolExecutor` above it).  A
-    scheduler makes that choice pluggable without touching the
-    checkpoint semantics, which stay in :func:`run_cells`: the
-    scheduler only answers "how many execution slots?" and "what
-    executor runs them?".
-    """
-
-    name = "serial"
-
-    def slots(self, workers: int) -> int:
-        """Number of concurrent execution slots given the call site's
-        ``workers`` hint (1 means the serial in-process path)."""
-        return 1
-
-    def executor(self, slots: int):
-        """A started ``concurrent.futures`` executor with ``slots``
-        workers (only called when ``slots > 1``)."""
-        raise ReproError(f"scheduler {self.name!r} has no executor")
-
-
-class SerialScheduler(Scheduler):
-    """Always solve in-process, whatever ``workers`` says.  Useful for
-    debugging (breakpoints, profilers) and on platforms where process
-    pools misbehave."""
-
-    name = "serial"
-
-
-class ProcessScheduler(Scheduler):
-    """The default: a local
-    :class:`~concurrent.futures.ProcessPoolExecutor`.
-
-    ``workers=None`` defers to the call site's ``workers`` argument,
-    so ``--scheduler process`` changes nothing for existing sweeps;
-    ``ProcessScheduler(8)`` (or ``--scheduler process:8``) pins the
-    pool size regardless of what callers pass.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        if workers is not None and workers < 1:
-            raise SchedulerSpecError(
-                f"scheduler workers must be >= 1, got {workers!r}")
-        self.workers = workers
-
-    def slots(self, workers: int) -> int:
-        return self.workers if self.workers is not None else workers
-
-    def executor(self, slots: int):
-        return ProcessPoolExecutor(max_workers=slots)
-
-
-def make_scheduler(spec: str) -> Scheduler:
-    """Build a scheduler from a CLI-style spec string: ``"serial"``,
-    ``"process"`` or ``"process:<N>"``."""
-    if spec == "serial":
-        return SerialScheduler()
-    if spec == "process":
-        return ProcessScheduler()
-    if spec.startswith("process:"):
-        count = spec.split(":", 1)[1]
-        try:
-            workers = int(count)
-        except ValueError:
-            raise SchedulerSpecError(
-                f"invalid process scheduler worker count "
-                f"{count!r}") from None
-        # ProcessScheduler rejects workers < 1 with the same typed
-        # error, so "process:0" fails here at parse time instead of
-        # propagating a bare ValueError out of ProcessPoolExecutor
-        # deep inside run_cells.
-        return ProcessScheduler(workers)
-    raise ReproError(
-        f"unknown scheduler spec {spec!r}; expected 'serial', "
-        "'process' or 'process:<N>'")
-
-
-#: Process-global default used by :func:`run_cells` when no explicit
-#: scheduler is passed (how the CLI's ``--scheduler`` flag reaches
-#: sweeps, the qa matrix and the serve worker pool).
-_DEFAULT_SCHEDULER: Optional[Scheduler] = None
-
-
-def set_default_scheduler(scheduler: Optional[Scheduler]) -> None:
-    """Install (or with ``None`` clear) the process-global scheduler."""
-    global _DEFAULT_SCHEDULER
-    _DEFAULT_SCHEDULER = scheduler
-
-
-def default_scheduler() -> Optional[Scheduler]:
-    """The installed process-global scheduler, if any."""
-    return _DEFAULT_SCHEDULER
-
-
 def run_cells(tasks: Sequence[SolveTask], runner=None, workers: int = 1,
-              progress: ProgressFn = None,
-              scheduler: Optional[Scheduler] = None) -> List:
+              progress: ProgressFn = None) -> List:
     """Execute ``tasks`` and return their decoded values in input
     order.
 
@@ -282,19 +181,13 @@ def run_cells(tasks: Sequence[SolveTask], runner=None, workers: int = 1,
         are recorded (and ``fault_hook`` fired) in the parent process.
     workers:
         ``1`` solves in-process; ``> 1`` fans the non-restored cells
-        out to that many worker processes.  Results are identical
-        either way, only wall time and journal record *order* differ
-        (parallel records in completion order).
+        out to a local process pool of that many workers.  Results
+        are identical either way, only wall time and journal record
+        *order* differ (parallel records in completion order).
     progress:
         Optional callback invoked with ``(task, value)`` as each cell
         completes (input order when serial, completion order when
         parallel).
-    scheduler:
-        Execution strategy.  ``None`` uses the process-global default
-        (:func:`set_default_scheduler`) when one is installed, else
-        the historical behaviour (a local process pool sized by
-        ``workers``).  Schedulers change *where* cells run, never
-        their results or the journal semantics.
 
     With tracing enabled (:mod:`repro.runtime.telemetry`), worker
     cells run under worker-local tracers whose snapshots ship back
@@ -307,11 +200,6 @@ def run_cells(tasks: Sequence[SolveTask], runner=None, workers: int = 1,
     """
     if workers < 1:
         raise ReproError(f"workers must be >= 1, got {workers!r}")
-    if scheduler is None:
-        scheduler = _DEFAULT_SCHEDULER
-    if scheduler is None:
-        scheduler = ProcessScheduler()
-    slots = scheduler.slots(workers)
     results: List = [None] * len(tasks)
     pending: List[Tuple[int, SolveTask]] = []
     for i, task in enumerate(tasks):
@@ -325,7 +213,7 @@ def run_cells(tasks: Sequence[SolveTask], runner=None, workers: int = 1,
         else:
             pending.append((i, task))
 
-    if slots == 1 or len(pending) <= 1:
+    if workers == 1 or len(pending) <= 1:
         # Serial path: reuse SweepRunner.cell so checkpoint semantics
         # (fault_hook before each fresh solve, record after) match the
         # historical serial sweeps exactly.
@@ -364,7 +252,7 @@ def run_cells(tasks: Sequence[SolveTask], runner=None, workers: int = 1,
         telemetry.current_tracer().merge_snapshot(snapshot)
         return payload
 
-    with scheduler.executor(slots) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures: Dict = {pool.submit(worker_fn, task): (i, task)
                          for i, task in pending}
         handled = set()

@@ -37,11 +37,11 @@ from repro.mdp.ratio import RatioSolution
 from repro.runtime.budget import Budget, BudgetClock
 from repro.runtime.telemetry import counter_add, span
 from repro.runtime.fallbacks import (
+    AVERAGE_CHAIN,
+    RATIO_CHAIN,
     AverageRequest,
     RatioRequest,
     StageDiagnostics,
-    average_chain_for,
-    ratio_chain_for,
     run_chain,
 )
 
@@ -56,14 +56,9 @@ class SolverSupervisor:
         within one :meth:`clock` scope (each top-level call starts a
         fresh clock over the same declarative budget).
     ratio_chain, average_chain:
-        Fallback chains as ``(name, stage)`` sequences.  Both default
-        to ``None``, meaning they are re-resolved per solve via
-        :func:`repro.runtime.fallbacks.ratio_chain_for` /
-        :func:`repro.runtime.fallbacks.average_chain_for` (so the
-        process-global ``--ratio-method`` and ``--engine`` selections
-        take effect even on supervisors built before the flags were
-        applied, and the approx stage is only prepended for models
-        above the size threshold).
+        Fallback chains as ``(name, stage)`` sequences; default
+        :data:`~repro.runtime.fallbacks.RATIO_CHAIN` and
+        :data:`~repro.runtime.fallbacks.AVERAGE_CHAIN`.
     validate_inputs, validate_outputs:
         Toggle the pre-/post-solve checks (both on by default; input
         validation re-runs the MDP's structural validator, which is
@@ -85,10 +80,10 @@ class SolverSupervisor:
                  validate_outputs: bool = True,
                  deadline=None) -> None:
         self.budget = budget if budget is not None else Budget()
-        self.ratio_chain = (None if ratio_chain is None
-                            else tuple(ratio_chain))
-        self.average_chain = (None if average_chain is None
-                              else tuple(average_chain))
+        self.ratio_chain = tuple(RATIO_CHAIN if ratio_chain is None
+                                 else ratio_chain)
+        self.average_chain = tuple(AVERAGE_CHAIN if average_chain is None
+                                   else average_chain)
         self.validate_inputs = validate_inputs
         self.validate_outputs = validate_outputs
         self.deadline = deadline
@@ -127,21 +122,15 @@ class SolverSupervisor:
     def solve_ratio(self, mdp: MDP, num: Mapping[str, float],
                     den: Mapping[str, float], lo: float, hi: float,
                     tol: float = 1e-7, max_iter: int = 80,
-                    initial_policy: Optional[np.ndarray] = None,
-                    method: Optional[str] = None) -> RatioSolution:
-        """Maximize ``gain(num)/gain(den)`` through the fallback chain.
-
-        ``method`` overrides the chain selection for this solve (it is
-        ignored when the supervisor was constructed with an explicit
-        ``ratio_chain``).
-        """
+                    initial_policy: Optional[np.ndarray] = None
+                    ) -> RatioSolution:
+        """Maximize ``gain(num)/gain(den)`` through the fallback
+        chain."""
         self._check_mdp(mdp)
         request = RatioRequest(mdp=mdp, num=num, den=den, lo=lo, hi=hi,
                                tol=tol, max_iter=max_iter,
                                initial_policy=initial_policy)
-        chain = (self.ratio_chain if self.ratio_chain is not None
-                 else ratio_chain_for(method, mdp=mdp))
-        outcome = self._run(chain, request)
+        outcome = self._run(self.ratio_chain, request)
         solution: RatioSolution = outcome.result
         if self.validate_outputs and not np.isfinite(solution.value):
             raise SolverDivergedError(
@@ -163,9 +152,7 @@ class SolverSupervisor:
         request = AverageRequest(mdp=mdp, reward=reward,
                                  initial_policy=initial_policy,
                                  max_iter=max_iter)
-        chain = (self.average_chain if self.average_chain is not None
-                 else average_chain_for(mdp))
-        outcome = self._run(chain, request)
+        outcome = self._run(self.average_chain, request)
         solution: AverageRewardSolution = outcome.result
         if self.validate_outputs and not np.isfinite(solution.gain):
             raise SolverDivergedError(

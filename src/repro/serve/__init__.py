@@ -21,7 +21,7 @@ resilience layer in front of the solvers:
   an error-type -> status mapping (429/503/413/...);
 - :mod:`repro.serve.warm` -- ``repro serve --warm``: journal-resumable
   precompute of the paper's parameter grids into the atlas through
-  the shared cell scheduler;
+  the shared process-parallel sweep runner;
 - :mod:`repro.serve.chaos` -- the chaos harness injecting solver
   hangs, worker crashes, artifact corruption and clock skew into a
   running service, plus the resilience and cache-coherence invariant

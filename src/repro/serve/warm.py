@@ -4,8 +4,7 @@
 (the tables of the CoNEXT '17 paper) the seed working set of the
 serving layer: every cell is solved through the shared
 :func:`repro.runtime.parallel.run_cells` machinery -- so the work fans
-out over the configured :class:`~repro.runtime.parallel.Scheduler`,
-honours ``--scheduler`` / ``--ratio-method``, and checkpoints into a
+out over ``--processes`` worker processes and checkpoints into a
 journal under the atlas root -- and lands in the
 :class:`~repro.serve.atlas.PolicyAtlas` as ordinary content-addressed
 entries.
@@ -146,12 +145,12 @@ def grid_cells(grid: str = "paper", fast: bool = False) -> List[WarmCell]:
 
 def warm_atlas(atlas: PolicyAtlas, grid: str = "paper",
                fast: bool = False, workers: int = 1,
-               journal_dir=None, scheduler=None,
+               journal_dir=None,
                progress: Optional[Callable[[str], None]] = None
                ) -> WarmReport:
     """Precompute one grid into ``atlas`` (see module docstring).
 
-    ``workers``/``scheduler`` are forwarded to
+    ``workers`` is forwarded to
     :func:`~repro.runtime.parallel.run_cells`; the journal lives at
     ``journal_dir`` (default ``<atlas root>/warm/``) under the sweep
     name ``warm-<grid>``, so re-running after a kill restores finished
@@ -193,7 +192,7 @@ def warm_atlas(atlas: PolicyAtlas, grid: str = "paper",
 
     if tasks:
         run_cells(tasks, runner=runner, workers=workers,
-                  progress=on_cell, scheduler=scheduler)
+                  progress=on_cell)
     telemetry.counter_add("warm/solved", runner.stats.solved)
     telemetry.counter_add("warm/restored", runner.stats.restored)
     return WarmReport(grid=grid, cells=len(cells), skipped=skipped,

@@ -38,6 +38,20 @@ def test_solvers_toggle_wait_automatically():
     assert not result2.config.include_wait
 
 
+def test_environment_does_not_steer_the_solve(monkeypatch):
+    """Variables that once selected the ratio method and the solve
+    engine are ignored: the relative-revenue solve stays Dinkelbach
+    and returns the same utility."""
+    config = cfg()
+    clean = analyze(config, IncentiveModel.COMPLIANT_PROFIT)
+    monkeypatch.setenv("REPRO_RATIO_METHOD", "pto")
+    monkeypatch.setenv("REPRO_ENGINE", "approx")
+    steered = analyze(config, IncentiveModel.COMPLIANT_PROFIT)
+    assert steered.solver["method"] == "dinkelbach"
+    assert steered.utility == clean.utility
+    assert steered.solver == clean.solver
+
+
 def test_prebuilt_mdp_reused():
     config = cfg()
     mdp = build_attack_mdp(config)

@@ -1,6 +1,5 @@
 """Tests for the MDP builder."""
 
-import numpy as np
 import pytest
 
 from repro.errors import InvalidTransitionError, MDPError
@@ -81,75 +80,3 @@ def test_duplicate_names_rejected():
         MDPBuilder(actions=["a", "a"], channels=["r"])
     with pytest.raises(MDPError):
         MDPBuilder(actions=["a"], channels=["r", "r"])
-
-
-# -- bulk batch API (state_ids / add_batch) ----------------------------
-
-
-def _scalar_vs_batch(entries):
-    """Build the same model through add() and add_batch(); return both."""
-    scalar = MDPBuilder(actions=["a", "b"], channels=["r", "s"])
-    for state, action, nxt, prob, rew in entries:
-        scalar.add(state, action, nxt, prob, **rew)
-    batch = MDPBuilder(actions=["a", "b"], channels=["r", "s"])
-    for action in ("a", "b"):
-        rows = [e for e in entries if e[1] == action]
-        if not rows:
-            continue
-        src = batch.state_ids([e[0] for e in rows])
-        dst = batch.state_ids([e[2] for e in rows])
-        probs = [e[3] for e in rows]
-        rewards = {c: [e[4].get(c, 0.0) for e in rows]
-                   for c in ("r", "s")}
-        batch.add_batch(src, action, dst, probs, **rewards)
-    return scalar.build(start=entries[0][0]), batch.build(
-        start=entries[0][0])
-
-
-def test_add_batch_matches_scalar_add():
-    entries = [
-        (0, "a", 1, 0.5, {"r": 2.0}),
-        (0, "a", 0, 0.5, {"s": 1.0}),
-        (0, "b", 0, 1.0, {"r": 0.25, "s": 0.5}),
-        (1, "a", 0, 1.0, {}),
-        (1, "b", 1, 0.0, {"r": 9.0}),  # dropped on both paths
-        (1, "b", 0, 1.0, {}),
-    ]
-    scalar, batch = _scalar_vs_batch(entries)
-    assert scalar.n_states == batch.n_states
-    for a in range(scalar.n_actions):
-        assert np.array_equal(scalar.transition[a].toarray(),
-                              batch.transition[a].toarray())
-    for channel in ("r", "s"):
-        assert np.array_equal(scalar.rewards[channel],
-                              batch.rewards[channel])
-    assert np.array_equal(scalar.available, batch.available)
-
-
-def test_state_ids_interns_in_order():
-    b = MDPBuilder(actions=["a"], channels=["r"])
-    ids = b.state_ids(["x", "y", "x", "z"])
-    assert ids.tolist() == [0, 1, 0, 2]
-    assert b.n_states == 3
-
-
-def test_add_batch_rejects_uninterned_indices():
-    b = MDPBuilder(actions=["a"], channels=["r"])
-    b.state_ids([0, 1])
-    with pytest.raises(MDPError, match="interned"):
-        b.add_batch([0], "a", [5], [1.0])
-
-
-def test_add_batch_rejects_shape_mismatch_and_bad_probs():
-    b = MDPBuilder(actions=["a"], channels=["r"])
-    src = b.state_ids([0, 1])
-    with pytest.raises(MDPError, match="shape"):
-        b.add_batch(src, "a", src, [1.0])
-    with pytest.raises(InvalidTransitionError):
-        b.add_batch(src, "a", src, [0.5, 1.5])
-    with pytest.raises(MDPError, match="unknown action"):
-        b.add_batch(src, "nope", src, [0.5, 0.5])
-    with pytest.raises(MDPError, match="unknown reward channels"):
-        b.add_batch(src, "a", src, [0.5, 0.5], nope=[1.0, 1.0])
-    with pytest.raises(MDPError, match="reward channel"):
-        b.add_batch(src, "a", src, [1.0, 1.0], r=[1.0])

@@ -1,5 +1,4 @@
-"""Tests for the probabilistically-terminated (PTO) ratio method and
-the process-global ratio-method default."""
+"""Tests for the probabilistically-terminated (PTO) ratio method."""
 
 import numpy as np
 import pytest
@@ -7,13 +6,7 @@ import pytest
 from repro.errors import SolverError, SolverInputError
 from repro.mdp.builder import MDPBuilder
 from repro.mdp.pto import solve_pto
-from repro.mdp.ratio import (
-    RATIO_METHOD_ENV,
-    RATIO_METHODS,
-    current_ratio_method,
-    maximize_ratio,
-    set_ratio_method,
-)
+from repro.mdp.ratio import maximize_ratio
 from repro.qa.exact import exact_ratio
 from repro.qa.generators import INSTANCE_CLASSES, make_instance
 
@@ -130,41 +123,6 @@ def test_pto_small_scale_denominator():
     assert sol.method == "pto"
     assert sol.value == pytest.approx(1.5e10, rel=1e-9)
     assert mdp.actions[sol.policy[0]] == "b"
-
-
-# -- the process-global method default ---------------------------------
-
-
-def test_set_ratio_method_controls_default():
-    mdp = renewal_mdp()
-    try:
-        set_ratio_method("pto")
-        assert current_ratio_method() == "pto"
-        sol = maximize_ratio(mdp, {"num": 1.0}, {"den": 1.0},
-                             lo=0.0, hi=5.0)
-        assert sol.method == "pto"
-    finally:
-        set_ratio_method(None)
-    assert current_ratio_method() == "dinkelbach"
-
-
-def test_env_var_sets_default_and_explicit_set_wins(monkeypatch):
-    monkeypatch.setenv(RATIO_METHOD_ENV, "bisection")
-    try:
-        assert current_ratio_method() == "bisection"
-        set_ratio_method("pto")
-        assert current_ratio_method() == "pto"
-    finally:
-        set_ratio_method(None)
-    monkeypatch.setenv(RATIO_METHOD_ENV, "newton")
-    with pytest.raises(SolverInputError, match="unknown ratio method"):
-        current_ratio_method()
-
-
-def test_set_ratio_method_rejects_unknown():
-    with pytest.raises(SolverInputError):
-        set_ratio_method("newton")
-    assert "pto" in RATIO_METHODS
 
 
 # -- warm-start identity (pinned regression) ---------------------------

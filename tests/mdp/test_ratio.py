@@ -70,13 +70,13 @@ def test_weighted_channel_combinations():
 
 def test_bad_bracket_rejected():
     mdp = renewal_mdp()
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverInputError):
         maximize_ratio(mdp, {"num": 1.0}, {"den": 1.0}, lo=1.0, hi=1.0)
 
 
 def test_unknown_method_rejected():
     mdp = renewal_mdp()
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverInputError):
         maximize_ratio(mdp, {"num": 1.0}, {"den": 1.0}, lo=0.0, hi=1.0,
                        method="newton")
 

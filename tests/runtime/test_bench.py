@@ -18,9 +18,8 @@ from repro.runtime.bench import (
 def test_registry_names_are_stable():
     assert set(BENCHMARKS) == {"attack-build", "attack-solve",
                                "attack-e2e", "reward-rebuild",
-                               "ratio-methods", "approx-scale",
-                               "sim-rollout", "sim-validate",
-                               "serve-smoke"}
+                               "ratio-methods", "sim-rollout",
+                               "sim-validate", "serve-smoke"}
 
 
 def test_unknown_benchmark_raises():

@@ -200,78 +200,3 @@ def test_sweep_parallel_matches_serial():
                             workers=2)
     assert parallel.utilities() == pytest.approx(serial.utilities(),
                                                  abs=1e-12)
-
-
-# -- schedulers ---------------------------------------------------------
-
-
-def test_make_scheduler_parses_specs():
-    from repro.runtime.parallel import (
-        ProcessScheduler,
-        SerialScheduler,
-        make_scheduler,
-    )
-    assert isinstance(make_scheduler("serial"), SerialScheduler)
-    process = make_scheduler("process")
-    assert isinstance(process, ProcessScheduler)
-    assert process.slots(5) == 5  # defers to the call site
-    pinned = make_scheduler("process:3")
-    assert pinned.slots(5) == 3
-
-
-def test_make_scheduler_rejects_bad_specs():
-    from repro.runtime.parallel import make_scheduler
-    with pytest.raises(ReproError, match="unknown scheduler"):
-        make_scheduler("threads")
-    with pytest.raises(ReproError, match="worker count"):
-        make_scheduler("process:many")
-    with pytest.raises(ReproError, match="unknown scheduler"):
-        make_scheduler("spec:cluster.json")
-
-
-def test_scheduler_spec_errors_are_typed_and_parse_time():
-    """Regression: degenerate specs used to flow through as a 0-worker
-    pool and blow up only deep inside ``run_cells`` when the process
-    pool was built.  They must be rejected at parse/construction time
-    with the typed :class:`SchedulerSpecError` (still a
-    :class:`SolverInputError`/:class:`ReproError`, so existing
-    handlers keep working)."""
-    from repro.errors import SchedulerSpecError, SolverInputError
-    from repro.runtime.parallel import ProcessScheduler, make_scheduler
-    assert issubclass(SchedulerSpecError, SolverInputError)
-
-    # Degenerate process pools, via the constructor and the spec
-    # string.
-    for workers in (0, -1):
-        with pytest.raises(SchedulerSpecError, match="worker count|>= 1"):
-            ProcessScheduler(workers)
-        with pytest.raises(SchedulerSpecError, match="worker count|>= 1"):
-            make_scheduler(f"process:{workers}")
-    with pytest.raises(SchedulerSpecError, match="worker count"):
-        make_scheduler("process:many")
-
-
-def test_serial_scheduler_matches_process_pool():
-    from repro.runtime.parallel import SerialScheduler
-    tasks = relative_tasks()
-    pooled = run_cells(tasks, workers=2)
-    serial = run_cells(tasks, workers=2, scheduler=SerialScheduler())
-    assert serial == pooled
-
-
-def test_default_scheduler_is_used_by_run_cells():
-    from repro.runtime.parallel import (
-        SerialScheduler,
-        default_scheduler,
-        set_default_scheduler,
-    )
-    tasks = relative_tasks()
-    baseline = run_cells(tasks, workers=1)
-    set_default_scheduler(SerialScheduler())
-    try:
-        assert default_scheduler() is not None
-        # workers=4 is overridden by the installed serial scheduler.
-        assert run_cells(tasks, workers=4) == baseline
-    finally:
-        set_default_scheduler(None)
-    assert default_scheduler() is None

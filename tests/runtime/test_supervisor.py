@@ -79,41 +79,17 @@ def test_fallback_recovers_where_dinkelbach_stalls():
     assert attempts == [("dinkelbach", "failed"), ("bisection", "ok")]
 
 
-def test_ratio_chain_for_method_selection():
-    from repro.runtime.fallbacks import ratio_chain_for
-    assert [s for s, _ in ratio_chain_for("pto")] == \
-        ["pto", "dinkelbach", "bisection", "value-iteration", "lp"]
-    assert [s for s, _ in ratio_chain_for("dinkelbach")] == \
-        ["dinkelbach", "bisection", "value-iteration", "lp"]
-    assert [s for s, _ in ratio_chain_for("bisection")] == \
-        ["bisection", "value-iteration", "lp"]
-    with pytest.raises(SolverInputError, match="unknown ratio method"):
-        ratio_chain_for("newton")
-
-
-def test_supervised_pto_solve():
+def test_bad_bracket_stops_the_chain_at_once():
+    """An inverted bracket is a caller mistake no other algorithm can
+    repair: the first stage raises the typed input error and the chain
+    stops there instead of trying every stage."""
     supervisor = SolverSupervisor()
-    sol = supervisor.solve_ratio(renewal_mdp(), {"num": 1.0},
-                                 {"den": 1.0}, lo=0.0, hi=5.0, tol=1e-9,
-                                 method="pto")
-    assert sol.value == pytest.approx(1.5, abs=1e-7)
-    assert sol.method == "pto"
-    assert supervisor.last_stage == "pto"
-
-
-def test_pto_chain_falls_back_through_default_chain():
-    """A strict-PTO failure (singular terminated system) falls back to
-    the classical stages instead of failing the solve."""
-    mdp = degenerate_mdp()
-    idle = np.array([mdp.action_index("idle")])
-    supervisor = SolverSupervisor()
-    sol = supervisor.solve_ratio(mdp, {"num": 1.0}, {"den": 1.0},
-                                 lo=0.5, hi=10.0, tol=1e-7,
-                                 initial_policy=idle, method="pto")
-    assert sol.value == pytest.approx(0.5, abs=1e-5)
-    attempts = [(d.stage, d.status) for d in supervisor.diagnostics]
-    assert attempts[0] == ("pto", "failed")
-    assert attempts[-1][1] == "ok"
+    with pytest.raises(SolverInputError, match="lo < hi"):
+        supervisor.solve_ratio(renewal_mdp(), {"num": 1.0}, {"den": 1.0},
+                               lo=1.0, hi=0.0)
+    assert [(d.stage, d.status, d.error_type)
+            for d in supervisor.diagnostics] == \
+        [("dinkelbach", "failed", "SolverInputError")]
 
 
 def test_supervised_average_solve():

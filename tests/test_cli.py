@@ -200,19 +200,11 @@ def test_serve_without_a_mode_is_a_usage_error(capsys, tmp_path):
     assert not (tmp_path / "atlas").exists()
 
 
-def test_validate_method_and_scheduler_flags(capsys):
-    from repro.runtime.parallel import (
-        default_scheduler,
-        set_default_scheduler,
-    )
-    try:
-        code = main(["validate", "--alpha", "0.3", "--ratio", "1:1",
-                     "--engine", "rollout", "--method", "alias",
-                     "--steps", "2000", "--seeds", "2",
-                     "--trajectories", "2", "--scheduler", "serial"])
-        assert code == 0
-        assert default_scheduler() is not None
-    finally:
-        set_default_scheduler(None)
+def test_validate_method_flag(capsys):
+    code = main(["validate", "--alpha", "0.3", "--ratio", "1:1",
+                 "--engine", "rollout", "--method", "alias",
+                 "--steps", "2000", "--seeds", "2",
+                 "--trajectories", "2"])
+    assert code == 0
     out = capsys.readouterr().out
     assert "simulated utility" in out
