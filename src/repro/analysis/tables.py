@@ -181,8 +181,8 @@ def _cell(runner, key, solve: Callable[[], float]) -> float:
     return runner.cell(list(key), solve)
 
 
-def _fill_cells(result: TableResult, specs, runner, supervisor,
-                workers: int, progress: ProgressFn, label: str,
+def _fill_cells(result: TableResult, specs, runner, workers: int,
+                progress: ProgressFn, label: str,
                 serial_solve=None) -> None:
     """Solve the cells described by ``specs`` into ``result``.
 
@@ -190,16 +190,10 @@ def _fill_cells(result: TableResult, specs, runner, supervisor,
     ``task`` is a :class:`repro.runtime.parallel.SolveTask`.  With
     ``workers == 1`` each task runs in-process through
     ``serial_solve`` (which resolves the solver from this module, so
-    tests can monkeypatch it, and honours a supervisor); with
-    ``workers > 1`` the tasks fan out through
-    :func:`repro.runtime.parallel.run_cells`.  A supervisor forces the
-    serial path because it holds live, non-picklable state.
+    tests can monkeypatch it); with ``workers > 1`` the tasks fan out
+    through :func:`repro.runtime.parallel.run_cells`.
     """
     if workers > 1:
-        if supervisor is not None:
-            raise ReproError(
-                "supervised table solves hold live solver state and "
-                "cannot run in parallel; use workers=1")
         from repro.runtime.parallel import run_cells
         paper_by_key = {key: pv for key, _t, pv in specs
                         if pv is not None}
@@ -226,16 +220,13 @@ def table2(setting: int = 1,
            alphas: Iterable[float] = TABLE2_ALPHAS,
            ratios: Iterable[Ratio] = TABLE2_RATIOS,
            progress: ProgressFn = None,
-           runner=None, supervisor=None,
-           workers: int = 1) -> TableResult:
+           runner=None, workers: int = 1) -> TableResult:
     """Regenerate Table 2 (relative revenue of a compliant and
     profit-driven Alice) for one setting.
 
     ``runner`` enables checkpoint/resume via a
-    :class:`repro.runtime.sweeprunner.SweepRunner`; ``supervisor``
-    runs each solve under a
-    :class:`repro.runtime.supervisor.SolverSupervisor` (serial only);
-    ``workers > 1`` fans the cells out over that many processes.
+    :class:`repro.runtime.sweeprunner.SweepRunner`; ``workers > 1``
+    fans the cells out over that many processes.
     """
     from repro.runtime.parallel import SolveTask
     alphas, ratios = list(alphas), list(ratios)
@@ -253,10 +244,10 @@ def table2(setting: int = 1,
             specs.append((key, SolveTask(kind="relative", key=key,
                                          config=config),
                           paper.get((ratio, alpha))))
-    _fill_cells(result, specs, runner, supervisor, workers, progress,
+    _fill_cells(result, specs, runner, workers, progress,
                 f"table2 s{setting}",
                 serial_solve=lambda task: solve_relative_revenue(
-                    task.config, supervisor=supervisor).utility)
+                    task.config).utility)
     return result
 
 
@@ -264,8 +255,7 @@ def table3(setting: int = 1,
            alphas: Iterable[float] = TABLE3_ALPHAS,
            ratios: Iterable[Ratio] = TABLE3_RATIOS,
            progress: ProgressFn = None,
-           runner=None, supervisor=None,
-           workers: int = 1) -> TableResult:
+           runner=None, workers: int = 1) -> TableResult:
     """Regenerate Table 3's BU block (absolute reward of a
     non-compliant, profit-driven Alice) for one setting."""
     from repro.runtime.parallel import SolveTask
@@ -284,10 +274,10 @@ def table3(setting: int = 1,
             specs.append((key, SolveTask(kind="absolute", key=key,
                                          config=config),
                           paper.get((ratio, alpha))))
-    _fill_cells(result, specs, runner, supervisor, workers, progress,
+    _fill_cells(result, specs, runner, workers, progress,
                 f"table3 s{setting}",
                 serial_solve=lambda task: solve_absolute_reward(
-                    task.config, supervisor=supervisor).utility)
+                    task.config).utility)
     return result
 
 
@@ -312,7 +302,7 @@ def table3_bitcoin(ties: Iterable[float] = (0.5, 1.0),
                 params=(("alpha", alpha), ("tie_power", tie),
                         ("max_len", max_len))),
                 PAPER_TABLE3_BITCOIN.get((tie, alpha))))
-    _fill_cells(result, specs, runner, None, workers, progress,
+    _fill_cells(result, specs, runner, workers, progress,
                 "table3 bitcoin",
                 serial_solve=lambda task: solve_selfish_mining_double_spend(
                     **dict(task.params)).absolute_reward)
@@ -323,8 +313,7 @@ def table4(alpha: float = 0.01,
            ratios: Iterable[Ratio] = TABLE4_RATIOS,
            settings: Iterable[int] = (1, 2),
            progress: ProgressFn = None,
-           runner=None, supervisor=None,
-           workers: int = 1) -> TableResult:
+           runner=None, workers: int = 1) -> TableResult:
     """Regenerate Table 4 (others' blocks orphaned per Alice block,
     non-profit-driven Alice)."""
     from repro.runtime.parallel import SolveTask
@@ -342,10 +331,10 @@ def table4(alpha: float = 0.01,
             specs.append((key, SolveTask(kind="orphans", key=key,
                                          config=config),
                           PAPER_TABLE4.get((ratio, setting))))
-    _fill_cells(result, specs, runner, supervisor, workers, progress,
+    _fill_cells(result, specs, runner, workers, progress,
                 "table4",
                 serial_solve=lambda task: solve_orphan_rate(
-                    task.config, supervisor=supervisor).utility)
+                    task.config).utility)
     return result
 
 

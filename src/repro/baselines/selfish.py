@@ -25,7 +25,7 @@ from repro.errors import ReproError
 from repro.mdp.builder import MDPBuilder
 from repro.mdp.model import MDP
 from repro.mdp.policy import Policy
-from repro.mdp.ratio import maximize_ratio
+from repro.runtime.supervisor import solve_ratio
 
 IRRELEVANT, RELEVANT, ACTIVE = "irrelevant", "relevant", "active"
 
@@ -192,9 +192,9 @@ def solve_selfish_mining(config: SelfishMiningConfig,
                          tol: float = 1e-7) -> SelfishMiningResult:
     """Maximize the attacker's relative revenue (plain selfish mining)."""
     mdp = build_selfish_mdp(config)
-    solution = maximize_ratio(mdp, num={"alice": 1.0},
-                              den={"alice": 1.0, "others": 1.0},
-                              lo=0.0, hi=1.0, tol=tol)
+    solution = solve_ratio(mdp, num={"alice": 1.0},
+                           den={"alice": 1.0, "others": 1.0},
+                           lo=0.0, hi=1.0, tol=tol).result
     return SelfishMiningResult(relative_revenue=solution.value,
                                policy=Policy(mdp, solution.policy),
                                config=config)

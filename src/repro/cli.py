@@ -29,10 +29,11 @@ and ``qa`` accept
 the span/counter/gauge registry as JSONL to FILE on the way out (see
 :mod:`repro.runtime.telemetry` and docs/observability.md).
 
-Every solve is exact: Dinkelbach for the ratio objectives, policy
-iteration for the average reward, and the fallback chain of
-:mod:`repro.runtime.fallbacks` when supervised (``attack --timeout``,
-``serve``).  No flag or environment variable selects another method.
+Every solve is exact and runs the fallback chain of
+:mod:`repro.runtime.fallbacks`: Dinkelbach for the ratio objectives,
+policy iteration for the average reward, then the slower stages.
+``attack --timeout`` and ``serve`` bound it with a wall-clock budget.
+No flag or environment variable selects another method.
 Sweeps size their process pool with ``--workers`` (``tables``,
 ``validate``, ``qa``) or ``--processes`` (``serve``).
 """
@@ -50,6 +51,7 @@ from repro.core.config import AttackConfig
 from repro.core.incentives import IncentiveModel
 from repro.core.solve import analyze
 from repro.errors import ReproError
+from repro.runtime.budget import Budget
 
 _MODELS = {
     "relative": IncentiveModel.COMPLIANT_PROFIT,
@@ -75,12 +77,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
     config = AttackConfig.from_ratio(args.alpha, _parse_ratio(args.ratio),
                                      setting=args.setting, ad=args.ad)
     model = _MODELS[args.model]
-    if args.timeout is not None:
-        from repro.runtime import Budget, SolverSupervisor
-        supervisor = SolverSupervisor(budget=Budget(wall_clock=args.timeout))
-        analysis = supervisor.analyze(config, model)
-    else:
-        analysis = analyze(config, model)
+    analysis = analyze(config, model,
+                       budget=Budget(wall_clock=args.timeout))
     print(f"model: {model.value}")
     print(f"alpha={config.alpha:.4f} beta={config.beta:.4f} "
           f"gamma={config.gamma:.4f} AD={config.ad} "
@@ -445,8 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--model", choices=sorted(_MODELS),
                         default="relative")
     attack.add_argument("--timeout", type=float, default=None,
-                        help="wall-clock budget in seconds (supervised "
-                             "solve with fallback chain)")
+                        help="wall-clock budget of the solve in seconds")
     _add_trace_flag(attack)
     attack.set_defaults(func=cmd_attack)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.core.attack_mdp import build_attack_mdp
 from repro.core.config import AttackConfig
@@ -78,7 +78,7 @@ class Deadline:
         """Whether the deadline has passed."""
         return self.clock() >= self.expires_at
 
-    def budget(self, max_ticks: Optional[int] = None) -> Budget:
+    def budget(self) -> Budget:
         """The remaining time as a solver :class:`Budget`.
 
         Raises
@@ -94,7 +94,7 @@ class Deadline:
             raise SolveDeadlineError(
                 f"deadline expired {self.clock() - self.expires_at:.3f}s "
                 f"ago; refusing to start a solve")
-        return Budget(wall_clock=left, max_ticks=max_ticks)
+        return Budget(wall_clock=left)
 
 
 @dataclass

@@ -11,6 +11,11 @@ optimal policy and the exact per-channel rates under that policy.
   Table 3; compare against ``alpha`` (honest mining's per-step income).
 - :func:`solve_orphan_rate` -- ``u_A3`` (Eq. 3), reproduced in
   Table 4; compare against 1 (a 51% attacker's value in Bitcoin).
+
+Every solve takes one path: the fallback chain of
+:mod:`repro.runtime.supervisor`, with input and output validation,
+under a :class:`~repro.runtime.budget.Budget` (default
+:data:`~repro.runtime.budget.UNLIMITED`, which starts no clock).
 """
 
 from __future__ import annotations
@@ -23,12 +28,13 @@ import numpy as np
 from repro.core.attack_mdp import build_attack_mdp
 from repro.core.config import AttackConfig
 from repro.core.incentives import IncentiveModel
-from repro.errors import ReproError
+from repro.errors import ReproError, SolverDivergedError
 from repro.mdp.model import MDP
 from repro.mdp.policy import Policy
-from repro.mdp.policy_iteration import policy_iteration
-from repro.mdp.ratio import maximize_ratio
 from repro.mdp.stationary import policy_gains
+from repro.runtime.budget import UNLIMITED, Budget
+from repro.runtime.fallbacks import ChainResult
+from repro.runtime.supervisor import solve_average, solve_ratio
 from repro.runtime.telemetry import counter_add, span
 
 
@@ -54,9 +60,11 @@ class AttackAnalysis:
         policy.
     solver:
         Provenance of the solve: ``{"method", "iterations",
-        "transformed_solves"}`` (the ratio method or average-reward
-        stage that produced the answer, and what it cost).  ``None``
-        on analyses loaded from artifacts that predate this field.
+        "transformed_solves"}`` (the fallback-chain stage that
+        answered -- e.g. ``"dinkelbach"`` or ``"policy-iteration"``,
+        see :mod:`repro.runtime.fallbacks` -- and what it cost).
+        ``None`` on analyses loaded from artifacts that predate this
+        field.
     """
 
     config: AttackConfig
@@ -89,52 +97,52 @@ def _prepare(config: AttackConfig, model: IncentiveModel,
     return config, mdp
 
 
-def _ratio_solver_info(solution) -> Dict[str, object]:
-    return {"method": solution.method,
-            "iterations": solution.iterations,
-            "transformed_solves": solution.transformed_solves}
+def _analysis(config: AttackConfig, model: IncentiveModel, mdp: MDP,
+              outcome: ChainResult, utility: float, honest_utility: float,
+              transformed_solves: int) -> AttackAnalysis:
+    """The analysis of the chain's answer.  The chain already checked
+    the utility; the channel rates must be finite too."""
+    solution = outcome.result
+    rates = policy_gains(mdp, solution.policy)
+    bad = {name: rate for name, rate in rates.items()
+           if not np.isfinite(rate)}
+    if bad:
+        raise SolverDivergedError(
+            f"analysis produced non-finite channel rates {bad!r}")
+    return AttackAnalysis(config=config, model=model, utility=utility,
+                          honest_utility=honest_utility,
+                          policy=Policy(mdp, solution.policy), rates=rates,
+                          solver={"method": outcome.stage,
+                                  "iterations": solution.iterations,
+                                  "transformed_solves": transformed_solves})
 
 
 def solve_relative_revenue(config: AttackConfig,
                            mdp: Optional[MDP] = None,
                            tol: float = 1e-7,
-                           supervisor=None,
+                           budget: Budget = UNLIMITED,
                            initial_policy: Optional[np.ndarray] = None
                            ) -> AttackAnalysis:
     """Maximize Alice's relative revenue u_A1 (Eq. 1).
 
-    ``supervisor`` optionally routes the solve through a
-    :class:`repro.runtime.supervisor.SolverSupervisor` (budgets,
-    validation and the fallback chain).  ``initial_policy``
-    warm-starts the first transformed solve (e.g. with the optimum of
-    an adjacent sweep cell).
+    ``budget`` bounds the solve (see :mod:`repro.runtime.supervisor`).
+    ``initial_policy`` warm-starts the first transformed solve (e.g.
+    with the optimum of an adjacent sweep cell).
     """
     with span("solve/relative"):
         counter_add("solve/relative")
-        config, mdp = _prepare(config, IncentiveModel.COMPLIANT_PROFIT,
-                               mdp)
-        num, den = IncentiveModel.COMPLIANT_PROFIT.utility_channels()
-        if supervisor is not None:
-            solution = supervisor.solve_ratio(
-                mdp, num, den, lo=0.0, hi=1.0, tol=tol,
-                initial_policy=initial_policy)
-        else:
-            solution = maximize_ratio(
-                mdp, num, den, lo=0.0, hi=1.0, tol=tol,
-                initial_policy=initial_policy)
-        policy = Policy(mdp, solution.policy)
-        rates = policy_gains(mdp, solution.policy)
-    return AttackAnalysis(config=config,
-                          model=IncentiveModel.COMPLIANT_PROFIT,
-                          utility=solution.value,
-                          honest_utility=config.alpha,
-                          policy=policy, rates=rates,
-                          solver=_ratio_solver_info(solution))
+        model = IncentiveModel.COMPLIANT_PROFIT
+        config, mdp = _prepare(config, model, mdp)
+        num, den = model.utility_channels()
+        outcome = solve_ratio(mdp, num, den, lo=0.0, hi=1.0, tol=tol,
+                              initial_policy=initial_policy, budget=budget)
+        return _analysis(config, model, mdp, outcome, outcome.result.value,
+                         config.alpha, outcome.result.transformed_solves)
 
 
 def solve_absolute_reward(config: AttackConfig,
                           mdp: Optional[MDP] = None,
-                          supervisor=None,
+                          budget: Budget = UNLIMITED,
                           initial_policy: Optional[np.ndarray] = None
                           ) -> AttackAnalysis:
     """Maximize Alice's absolute per-block reward u_A2 (Eq. 2).
@@ -144,78 +152,52 @@ def solve_absolute_reward(config: AttackConfig,
     """
     with span("solve/absolute"):
         counter_add("solve/absolute")
-        config, mdp = _prepare(config, IncentiveModel.NONCOMPLIANT_PROFIT,
-                               mdp)
-        num, _den = IncentiveModel.NONCOMPLIANT_PROFIT.utility_channels()
-        if supervisor is not None:
-            solution = supervisor.solve_average(
-                mdp, mdp.combined_reward(dict(num)),
-                initial_policy=initial_policy)
-            method = supervisor.last_stage or "policy-iteration"
-        else:
-            solution = policy_iteration(mdp,
-                                        mdp.combined_reward(dict(num)),
-                                        initial_policy=initial_policy)
-            method = "policy-iteration"
-        policy = Policy(mdp, solution.policy)
-        rates = policy_gains(mdp, solution.policy)
-    return AttackAnalysis(config=config,
-                          model=IncentiveModel.NONCOMPLIANT_PROFIT,
-                          utility=solution.gain,
-                          honest_utility=config.alpha,
-                          policy=policy, rates=rates,
-                          solver={"method": method,
-                                  "iterations": solution.iterations,
-                                  "transformed_solves": 0})
+        model = IncentiveModel.NONCOMPLIANT_PROFIT
+        config, mdp = _prepare(config, model, mdp)
+        num, _den = model.utility_channels()
+        outcome = solve_average(mdp, mdp.combined_reward(dict(num)),
+                                initial_policy=initial_policy,
+                                budget=budget)
+        return _analysis(config, model, mdp, outcome, outcome.result.gain,
+                         config.alpha, 0)
 
 
 def solve_orphan_rate(config: AttackConfig,
                       mdp: Optional[MDP] = None,
                       tol: float = 1e-6,
-                      supervisor=None,
+                      budget: Budget = UNLIMITED,
                       initial_policy: Optional[np.ndarray] = None
                       ) -> AttackAnalysis:
     """Maximize others' blocks orphaned per Alice block, u_A3 (Eq. 3)."""
     with span("solve/orphans"):
         counter_add("solve/orphans")
-        config, mdp = _prepare(config, IncentiveModel.NON_PROFIT, mdp)
-        num, den = IncentiveModel.NON_PROFIT.utility_channels()
-        if supervisor is not None:
-            solution = supervisor.solve_ratio(
-                mdp, num, den, lo=0.0, hi=float(config.ad), tol=tol,
-                initial_policy=initial_policy)
-        else:
-            solution = maximize_ratio(
-                mdp, num, den, lo=0.0, hi=float(config.ad), tol=tol,
-                initial_policy=initial_policy)
-        policy = Policy(mdp, solution.policy)
-        rates = policy_gains(mdp, solution.policy)
-    return AttackAnalysis(config=config, model=IncentiveModel.NON_PROFIT,
-                          utility=solution.value,
-                          honest_utility=0.0,
-                          policy=policy, rates=rates,
-                          solver=_ratio_solver_info(solution))
+        model = IncentiveModel.NON_PROFIT
+        config, mdp = _prepare(config, model, mdp)
+        num, den = model.utility_channels()
+        outcome = solve_ratio(mdp, num, den, lo=0.0, hi=float(config.ad),
+                              tol=tol, initial_policy=initial_policy,
+                              budget=budget)
+        return _analysis(config, model, mdp, outcome, outcome.result.value,
+                         0.0, outcome.result.transformed_solves)
 
 
 def analyze(config: AttackConfig, model: IncentiveModel,
-            mdp: Optional[MDP] = None, supervisor=None,
+            mdp: Optional[MDP] = None, budget: Budget = UNLIMITED,
             initial_policy: Optional[np.ndarray] = None
             ) -> AttackAnalysis:
     """Dispatch to the solver matching ``model``.
 
-    Passing a :class:`repro.runtime.supervisor.SolverSupervisor` as
-    ``supervisor`` runs the solve under budgets, input/output
-    validation and the fallback chain.  ``initial_policy``
-    warm-starts the solve.
+    Every solve runs the fallback chain with input and output
+    validation under ``budget``; ``initial_policy`` warm-starts it.
     """
     if model is IncentiveModel.COMPLIANT_PROFIT:
-        return solve_relative_revenue(config, mdp, supervisor=supervisor,
+        return solve_relative_revenue(config, mdp, budget=budget,
                                       initial_policy=initial_policy)
     if model is IncentiveModel.NONCOMPLIANT_PROFIT:
-        return solve_absolute_reward(config, mdp, supervisor=supervisor,
+        return solve_absolute_reward(config, mdp, budget=budget,
                                      initial_policy=initial_policy)
     if model is IncentiveModel.NON_PROFIT:
-        return solve_orphan_rate(config, mdp, supervisor=supervisor,
+        return solve_orphan_rate(config, mdp, budget=budget,
                                  initial_policy=initial_policy)
     raise ReproError(f"unknown incentive model {model!r}")
 

@@ -83,8 +83,9 @@ def policy_iteration(mdp: MDP, reward: np.ndarray,
     """Solve an average-reward MDP exactly by Howard policy iteration.
 
     ``on_iter`` (if given) is called with the iteration number before
-    each evaluation/improvement round; a budget supervisor can raise
-    from it to abort a runaway solve (see :mod:`repro.runtime.budget`).
+    each evaluation/improvement round; the fallback chain's budget
+    clock raises from it to abort a runaway solve (see
+    :mod:`repro.runtime.budget`).
     """
     reward = np.asarray(reward, dtype=float)
     if initial_policy is None:

@@ -92,9 +92,8 @@ def solve_pto(mdp: MDP, num: Mapping[str, float],
     final policy sits from the terminated fixed point).  Raises a typed
     :class:`~repro.errors.SolverError` on degeneracy (a policy whose
     recurrent behaviour accrues no denominator makes the terminated
-    evaluation system singular or its start value vanish) --
-    :func:`repro.mdp.ratio.maximize_ratio` turns that into a bisection
-    fallback exactly like Dinkelbach's.
+    evaluation system singular or its start value vanish), exactly
+    like Dinkelbach's.
 
     Parameters mirror :func:`repro.mdp.ratio.maximize_ratio`;
     ``on_solve`` is called with the running count of PT

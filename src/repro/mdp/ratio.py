@@ -24,9 +24,7 @@ Three methods are provided:
   reduction of Bar-Zur, Eyal & Tamar -- the transformed problems
   become *terminated* total-reward problems whose policy evaluations
   are independent of ``rho``, so one factorization per distinct policy
-  serves every outer iteration.  Falls back to bisection on the same
-  degeneracies as Dinkelbach (zero-denominator policies make the
-  terminated system singular).  Reached only by an explicit
+  serves every outer iteration.  Reached only by an explicit
   ``method="pto"``; no solve of the paper's pipeline uses it.
 
 Every method threads the previous iterate's policy and bias vector
@@ -34,11 +32,11 @@ into the next transformed solve as a :class:`WarmStart`, so successive
 solves start near their fixed point instead of from scratch (counter
 ``solver/ratio/warm_start_hits``).
 
-With ``strict=True`` the Dinkelbach and PTO methods raise a typed
-:class:`~repro.errors.SolverError` on degeneracy or iteration
-exhaustion instead of silently switching method -- this is what the
-:class:`repro.runtime.supervisor.SolverSupervisor` fallback chain uses
-to make each recovery step explicit and diagnosable.
+Dinkelbach and PTO raise a typed :class:`~repro.errors.SolverError` on
+degeneracy (zero-denominator policies, which make PTO's terminated
+system singular) or iteration exhaustion; they never switch method.
+Recovery is the job of the fallback chain of
+:mod:`repro.runtime.fallbacks`, whose next stage is bisection.
 """
 
 from __future__ import annotations
@@ -176,7 +174,6 @@ def maximize_ratio(mdp: MDP, num: Mapping[str, float],
                    tol: float = 1e-7, max_iter: int = 80,
                    method: str = "dinkelbach",
                    initial_policy: Optional[np.ndarray] = None,
-                   strict: bool = False,
                    solver: Optional[AverageRewardSolver] = None
                    ) -> RatioSolution:
     """Maximize ``gain(num) / gain(den)`` over stationary policies.
@@ -190,22 +187,18 @@ def maximize_ratio(mdp: MDP, num: Mapping[str, float],
     tol:
         Absolute precision of the returned ratio.
     method:
-        ``"dinkelbach"`` (default) or ``"pto"`` (each with automatic
-        bisection fallback unless ``strict``) or ``"bisection"``.
+        ``"dinkelbach"`` (default), ``"bisection"`` or ``"pto"``.
+        Dinkelbach and PTO raise :class:`~repro.errors.SolverError`
+        when the iteration hits a zero-denominator policy or exhausts
+        ``max_iter``.
     initial_policy:
         Optional warm start.
-    strict:
-        Dinkelbach/PTO only: raise :class:`~repro.errors.SolverError`
-        when the iteration hits a zero-denominator policy or exhausts
-        ``max_iter`` instead of silently falling back to bisection.
-        Used by the supervised fallback chain, where each stage must
-        fail loudly for the next stage to be tried deliberately.
     solver:
         Average-reward solver for the transformed problems; defaults
         to :func:`repro.mdp.policy_iteration.policy_iteration`.  The
-        supervised fallback chain substitutes relative value iteration
-        or the occupation-measure LP here.  (The PTO method performs
-        its own terminated evaluations and does not use this.)
+        fallback chain substitutes relative value iteration or the
+        occupation-measure LP here.  (The PTO method performs its own
+        terminated evaluations and does not use this.)
     """
     _validate_inputs(num, den, lo, hi, tol, max_iter, method)
     if solver is None:
@@ -243,26 +236,14 @@ def maximize_ratio(mdp: MDP, num: Mapping[str, float],
 
     if method == "pto":
         from repro.mdp.pto import solve_pto  # deferred: pto imports us
-        try:
-            solution, residual = solve_pto(
-                mdp, num, den, lo, hi, tol=tol, max_iter=max_iter,
-                initial_policy=initial_policy)
-            return finish(solution, residual)
-        except SolverInputError:
-            raise  # malformed problem; no method can recover
-        except SolverError:
-            if strict:
-                raise
-            # Degenerate (zero-denominator) policies make the
-            # terminated evaluation singular -- the same cases that
-            # abort Dinkelbach.  Recover with bisection.
-            counter_add("solver/ratio/pto/fallbacks")
-        # fall through to bisection
+        solution, residual = solve_pto(
+            mdp, num, den, lo, hi, tol=tol, max_iter=max_iter,
+            initial_policy=initial_policy)
+        return finish(solution, residual)
 
     if method == "dinkelbach":
         with span("solve/ratio/dinkelbach"):
             rho = lo
-            best: Optional[RatioSolution] = None
             for _ in range(max_iter):
                 counter_add("solver/ratio/dinkelbach_rounds")
                 solution = run_solver(_transformed(mdp, num, den, rho),
@@ -273,14 +254,10 @@ def maximize_ratio(mdp: MDP, num: Mapping[str, float],
                 g_num, g_den = _channel_gains(mdp, policy, num, den,
                                               rho=rho)
                 if g_den < den_floor:
-                    if strict:
-                        raise SolverError(
-                            "Dinkelbach hit a degenerate "
-                            "(zero-denominator) "
-                            f"policy at rho={rho!r}: gain_num={g_num!r}, "
-                            f"gain_den={g_den!r} "
-                            f"(den_floor={den_floor!r})")
-                    break  # degenerate policy; fall back to bisection
+                    raise SolverError(
+                        "Dinkelbach hit a degenerate (zero-denominator) "
+                        f"policy at rho={rho!r}: gain_num={g_num!r}, "
+                        f"gain_den={g_den!r} (den_floor={den_floor!r})")
                 new_rho = g_num / g_den
                 best = RatioSolution(value=new_rho, policy=policy,
                                      gain_num=g_num, gain_den=g_den,
@@ -300,18 +277,9 @@ def maximize_ratio(mdp: MDP, num: Mapping[str, float],
                 if new_rho <= rho:  # numerical stall; converged
                     return finish(best, abs(solution.gain))
                 rho = new_rho
-            else:
-                if strict:
-                    raise SolverError(
-                        f"Dinkelbach did not converge in {max_iter} "
-                        f"transformed solves (last rho={rho!r})")
-                if best is not None:
-                    return finish(best, abs(solution.gain))
-            if strict and best is None:
-                raise SolverError(
-                    "Dinkelbach made no progress before degenerating at "
-                    f"rho={rho!r}")
-        # fall through to bisection
+            raise SolverError(
+                f"Dinkelbach did not converge in {max_iter} "
+                f"transformed solves (last rho={rho!r})")
 
     # Bisection on the profitability threshold.
     with span("solve/ratio/bisection"):

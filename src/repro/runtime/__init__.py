@@ -8,8 +8,9 @@ and production-scale sweeps:
 - :mod:`repro.runtime.fallbacks` -- declarative solver fallback chains
   (Dinkelbach -> bisection -> value iteration -> LP) with per-stage
   diagnostics;
-- :mod:`repro.runtime.supervisor` -- :class:`SolverSupervisor`, tying
-  budgets, input/output validation and fallback chains together;
+- :mod:`repro.runtime.supervisor` -- ``solve_ratio`` and
+  ``solve_average``, the one path every solve takes: input validation,
+  a fallback chain under a budget, output validation;
 - :mod:`repro.runtime.journal` -- atomic file writes and the
   append-only checkpoint journal;
 - :mod:`repro.runtime.sweeprunner` -- :class:`SweepRunner`,
@@ -41,7 +42,6 @@ _EXPORTS = {
     "ChainResult": "repro.runtime.fallbacks",
     "StageDiagnostics": "repro.runtime.fallbacks",
     "run_chain": "repro.runtime.fallbacks",
-    "SolverSupervisor": "repro.runtime.supervisor",
     "Journal": "repro.runtime.journal",
     "JOURNAL_SCHEMA": "repro.runtime.journal",
     "atomic_write_text": "repro.runtime.journal",

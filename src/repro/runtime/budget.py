@@ -1,4 +1,4 @@
-"""Wall-clock and iteration budgets for supervised solves.
+"""Wall-clock and iteration budgets for solves.
 
 A :class:`Budget` is a declarative limit; a :class:`BudgetClock` is one
 enforcement run of that limit.  Solvers cooperate by calling the
@@ -88,5 +88,5 @@ class BudgetClock:
                     f"({elapsed:.3f}s > {wall:.3f}s)")
 
 
-#: A clock that never expires, for unsupervised call sites.
+#: The default budget of every solve: no limit, so no clock starts.
 UNLIMITED = Budget()

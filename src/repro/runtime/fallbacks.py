@@ -20,8 +20,9 @@ run in bulk:
   :data:`AVERAGE_CHAIN`: policy iteration -> relative value iteration
   -> LP.
 
-Every supervised solve runs one of these two chains; no flag or
-environment variable selects another.
+Every solve of :mod:`repro.core.solve` runs one of these two chains
+(through :mod:`repro.runtime.supervisor`); no flag or environment
+variable selects another.
 
 The later stages trade exactness of the warm-started sparse solves for
 independence from them: relative value iteration performs no linear
@@ -154,7 +155,7 @@ def _ratio_dinkelbach(request: RatioRequest,
                           lo=request.lo, hi=request.hi, tol=request.tol,
                           max_iter=request.max_iter, method="dinkelbach",
                           initial_policy=request.initial_policy,
-                          strict=True, solver=_pi_solver(clock))
+                          solver=_pi_solver(clock))
 
 
 def _ratio_bisection(solver_factory):
@@ -245,8 +246,8 @@ def run_chain(chain: Sequence[Tuple[str, Callable]], request,
                 error=str(exc), error_type=type(exc).__name__))
             # Non-recoverable aborts still carry the per-stage record
             # (earlier failed stages plus the one cancelled mid-flight)
-            # so the supervisor can log *which* chain step the budget
-            # or deadline cut off.
+            # so callers can log *which* chain step the budget or
+            # deadline cut off.
             exc.diagnostics = diagnostics
             raise
         except SolverError as exc:

@@ -31,6 +31,7 @@ from repro.core.config import AttackConfig
 from repro.core.incentives import IncentiveModel
 from repro.errors import ReproError
 from repro.runtime import telemetry
+from repro.runtime.budget import UNLIMITED, Budget
 
 #: Task kinds understood by :func:`execute_task`.
 TASK_KINDS = ("relative", "absolute", "orphans", "selfish_ds", "analyze",
@@ -65,10 +66,11 @@ class SolveTask:
     params:
         Extra keyword arguments (``"selfish_ds"``: ``alpha``, ``tie``,
         ``max_len``; ``"validate_seed"``: ``seed``, ``steps``,
-        ``trajectories``, ``engine``, ``policy``; ``"analyze"``:
-        optional ``wall_clock`` / ``max_ticks`` running the solve
-        under a supervised budget -- how the serving layer propagates
-        request deadlines into worker processes).
+        ``trajectories``, ``engine``, ``policy``).
+    budget:
+        The :class:`~repro.runtime.budget.Budget` of an ``"analyze"``
+        or ``"warm"`` solve -- how the serving layer propagates a
+        request's remaining time into worker processes.
     """
 
     kind: str
@@ -76,6 +78,7 @@ class SolveTask:
     config: Optional[AttackConfig] = None
     model: Optional[IncentiveModel] = None
     params: Tuple[Tuple[str, object], ...] = field(default=())
+    budget: Budget = UNLIMITED
 
 
 def execute_task(task: SolveTask):
@@ -103,22 +106,8 @@ def execute_task(task: SolveTask):
     if task.kind in ("analyze", "warm"):
         from repro.analysis.store import analysis_to_payload
         from repro.core.solve import analyze
-        params = dict(task.params)
-        wall_clock = params.get("wall_clock")
-        supervisor = None
-        if wall_clock is not None:
-            # Deadline propagation across the task boundary: the
-            # serving layer ships the *remaining* request time as a
-            # wall-clock budget, so a solve running in a worker is cut
-            # off by the same typed error path as an in-process one
-            # (supervised fallback chain included).
-            from repro.runtime.budget import Budget
-            from repro.runtime.supervisor import SolverSupervisor
-            supervisor = SolverSupervisor(
-                budget=Budget(wall_clock=wall_clock,
-                              max_ticks=params.get("max_ticks")))
         return analysis_to_payload(
-            analyze(task.config, task.model, supervisor=supervisor))
+            analyze(task.config, task.model, budget=task.budget))
     if task.kind == "validate_seed":
         from repro.analysis.validation import run_validation_seed
         return run_validation_seed(task.config, task.model,

@@ -1,27 +1,29 @@
-"""Supervised execution of the paper's long-running solves.
+"""Budgeted, validated execution of every MDP solve.
 
-A :class:`SolverSupervisor` wraps the MDP solvers behind three
-guarantees that a multi-hour sweep needs and the bare solvers do not
-give:
+Every solve of :mod:`repro.core.solve` runs through one of two
+functions, :func:`solve_ratio` or :func:`solve_average`, which give
+three guarantees the bare solvers do not:
 
-- **bounded**: every solve runs under a shared
+- **bounded**: the solve runs under a
   :class:`~repro.runtime.budget.Budget` (wall-clock seconds and/or
   solver iterations), enforced cooperatively through the solvers'
   ``on_iter`` hooks, so a numerical stall raises
   :class:`~repro.errors.SolverBudgetExceededError` instead of hanging;
+  the default :data:`~repro.runtime.budget.UNLIMITED` starts no clock;
 - **validated**: inputs are checked before solving (stochastic rows
   via the MDP's own validator, finite reward channels) and outputs
   after (finite gains/ratios, policy availability), so garbage raises
   a typed :class:`~repro.errors.SolverError` subclass instead of
   propagating NaNs into result tables;
-- **recoverable**: each solve runs through the declarative fallback
-  chains of :mod:`repro.runtime.fallbacks`, with per-stage diagnostics
-  kept on the supervisor for post-mortem inspection.
+- **recoverable**: each solve runs through the fallback chains of
+  :mod:`repro.runtime.fallbacks`; the returned
+  :class:`~repro.runtime.fallbacks.ChainResult` names the stage that
+  answered and carries the diagnostics of every stage attempted.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -32,191 +34,91 @@ from repro.errors import (
     SolverInputError,
 )
 from repro.mdp.model import MDP
-from repro.mdp.policy_iteration import AverageRewardSolution
-from repro.mdp.ratio import RatioSolution
-from repro.runtime.budget import Budget, BudgetClock
+from repro.runtime.budget import UNLIMITED, Budget
 from repro.runtime.telemetry import counter_add, span
 from repro.runtime.fallbacks import (
     AVERAGE_CHAIN,
     RATIO_CHAIN,
     AverageRequest,
+    ChainResult,
     RatioRequest,
-    StageDiagnostics,
     run_chain,
 )
 
 
-class SolverSupervisor:
-    """Budgets, validation and fallback execution for MDP solves.
-
-    Parameters
-    ----------
-    budget:
-        Limits shared by all solves issued through this supervisor
-        within one :meth:`clock` scope (each top-level call starts a
-        fresh clock over the same declarative budget).
-    ratio_chain, average_chain:
-        Fallback chains as ``(name, stage)`` sequences; default
-        :data:`~repro.runtime.fallbacks.RATIO_CHAIN` and
-        :data:`~repro.runtime.fallbacks.AVERAGE_CHAIN`.
-    validate_inputs, validate_outputs:
-        Toggle the pre-/post-solve checks (both on by default; input
-        validation re-runs the MDP's structural validator, which is
-        linear in the number of transitions).
-    deadline:
-        Optional :class:`repro.core.deadline.Deadline`.  Each solve's
-        effective wall-clock budget becomes ``min(budget.wall_clock,
-        deadline.remaining())``, so the same supervisor instance can be
-        handed down a request path and every nested solve sees only the
-        time that is actually left; an already-expired deadline raises
-        :class:`~repro.errors.SolveDeadlineError` before the solve
-        starts.
-    """
-
-    def __init__(self, budget: Optional[Budget] = None,
-                 ratio_chain: Optional[Sequence[Tuple]] = None,
-                 average_chain: Optional[Sequence[Tuple]] = None,
-                 validate_inputs: bool = True,
-                 validate_outputs: bool = True,
-                 deadline=None) -> None:
-        self.budget = budget if budget is not None else Budget()
-        self.ratio_chain = tuple(RATIO_CHAIN if ratio_chain is None
-                                 else ratio_chain)
-        self.average_chain = tuple(AVERAGE_CHAIN if average_chain is None
-                                   else average_chain)
-        self.validate_inputs = validate_inputs
-        self.validate_outputs = validate_outputs
-        self.deadline = deadline
-        #: Diagnostics of every stage attempted, across all solves.
-        self.diagnostics: List[StageDiagnostics] = []
-        #: Name of the stage that produced the last successful solve.
-        self.last_stage: Optional[str] = None
-        #: Name of the fallback-chain stage a budget/deadline abort
-        #: cut off mid-flight (``None`` until a solve is cancelled).
-        self.cancelled_stage: Optional[str] = None
-
-    # -- validation ----------------------------------------------------
-
-    def _check_mdp(self, mdp: MDP) -> None:
-        if not self.validate_inputs:
-            return
-        # Re-run the structural validator (row-stochastic transitions,
-        # every state has an action) -- callers may have built the MDP
-        # with validate=False or mutated its arrays since construction.
-        mdp._validate()
-        for name, reward in mdp.rewards.items():
-            if not np.all(np.isfinite(reward)):
-                raise SolverInputError(
-                    f"reward channel {name!r} contains non-finite values")
-
-    def _check_policy(self, mdp: MDP, policy: np.ndarray,
-                      label: str) -> None:
-        if not self.validate_outputs:
-            return
-        if not mdp.valid_policy(policy):
-            raise SolverError(
-                f"{label} produced a policy selecting unavailable actions")
-
-    # -- supervised solves ---------------------------------------------
-
-    def solve_ratio(self, mdp: MDP, num: Mapping[str, float],
-                    den: Mapping[str, float], lo: float, hi: float,
-                    tol: float = 1e-7, max_iter: int = 80,
-                    initial_policy: Optional[np.ndarray] = None
-                    ) -> RatioSolution:
-        """Maximize ``gain(num)/gain(den)`` through the fallback
-        chain."""
-        self._check_mdp(mdp)
-        request = RatioRequest(mdp=mdp, num=num, den=den, lo=lo, hi=hi,
-                               tol=tol, max_iter=max_iter,
-                               initial_policy=initial_policy)
-        outcome = self._run(self.ratio_chain, request)
-        solution: RatioSolution = outcome.result
-        if self.validate_outputs and not np.isfinite(solution.value):
-            raise SolverDivergedError(
-                f"supervised ratio solve returned non-finite value "
-                f"{solution.value!r}")
-        self._check_policy(mdp, solution.policy,
-                           f"ratio stage {outcome.stage!r}")
-        return solution
-
-    def solve_average(self, mdp: MDP, reward: np.ndarray,
-                      initial_policy: Optional[np.ndarray] = None,
-                      max_iter: int = 1000) -> AverageRewardSolution:
-        """Maximize an average reward through the fallback chain."""
-        self._check_mdp(mdp)
-        reward = np.asarray(reward, dtype=float)
-        if self.validate_inputs and not np.all(np.isfinite(reward)):
+def _check_mdp(mdp: MDP) -> None:
+    # Re-run the structural validator (row-stochastic transitions,
+    # every state has an action) -- callers may have built the MDP
+    # with validate=False or mutated its arrays since construction.
+    mdp._validate()
+    for name, reward in mdp.rewards.items():
+        if not np.all(np.isfinite(reward)):
             raise SolverInputError(
-                "combined reward array contains non-finite values")
-        request = AverageRequest(mdp=mdp, reward=reward,
-                                 initial_policy=initial_policy,
-                                 max_iter=max_iter)
-        outcome = self._run(self.average_chain, request)
-        solution: AverageRewardSolution = outcome.result
-        if self.validate_outputs and not np.isfinite(solution.gain):
-            raise SolverDivergedError(
-                f"supervised average-reward solve returned non-finite "
-                f"gain {solution.gain!r}")
-        self._check_policy(mdp, solution.policy,
-                           f"average stage {outcome.stage!r}")
-        return solution
+                f"reward channel {name!r} contains non-finite values")
 
-    def analyze(self, config, model, mdp: Optional[MDP] = None):
-        """Supervised version of :func:`repro.core.solve.analyze`.
 
-        Routes the underlying ratio/average solves through this
-        supervisor and validates the resulting utility and channel
-        rates before returning the :class:`AttackAnalysis`.
-        """
-        from repro.core.solve import analyze as core_analyze
-        analysis = core_analyze(config, model, mdp, supervisor=self)
-        if self.validate_outputs:
-            if not np.isfinite(analysis.utility):
-                raise SolverDivergedError(
-                    f"analysis produced non-finite utility "
-                    f"{analysis.utility!r} for {model!r}")
-            bad = {name: rate for name, rate in analysis.rates.items()
-                   if not np.isfinite(rate)}
-            if bad:
-                raise SolverDivergedError(
-                    f"analysis produced non-finite channel rates {bad!r}")
-        return analysis
+def _check_policy(mdp: MDP, policy: np.ndarray, label: str) -> None:
+    if not mdp.valid_policy(policy):
+        raise SolverError(
+            f"{label} produced a policy selecting unavailable actions")
 
-    # -- internals -----------------------------------------------------
 
-    def _effective_budget(self) -> Budget:
-        """The declarative budget narrowed by the deadline's remaining
-        time (raises the typed deadline error when already expired)."""
-        if self.deadline is None:
-            return self.budget
-        narrowed = self.deadline.budget(max_ticks=self.budget.max_ticks)
-        wall = narrowed.wall_clock
-        if self.budget.wall_clock is not None:
-            wall = min(wall, self.budget.wall_clock)
-        return Budget(wall_clock=wall, max_ticks=self.budget.max_ticks)
+def solve_ratio(mdp: MDP, num: Mapping[str, float],
+                den: Mapping[str, float], lo: float, hi: float,
+                tol: float = 1e-7, max_iter: int = 80,
+                initial_policy: Optional[np.ndarray] = None,
+                budget: Budget = UNLIMITED) -> ChainResult:
+    """Maximize ``gain(num)/gain(den)`` through :data:`RATIO_CHAIN`;
+    the result is a :class:`~repro.mdp.ratio.RatioSolution`."""
+    _check_mdp(mdp)
+    request = RatioRequest(mdp=mdp, num=num, den=den, lo=lo, hi=hi,
+                           tol=tol, max_iter=max_iter,
+                           initial_policy=initial_policy)
+    outcome = _run(RATIO_CHAIN, request, budget)
+    if not np.isfinite(outcome.result.value):
+        raise SolverDivergedError(
+            f"ratio solve returned non-finite value "
+            f"{outcome.result.value!r}")
+    _check_policy(mdp, outcome.result.policy,
+                  f"ratio stage {outcome.stage!r}")
+    return outcome
 
-    def _run(self, chain, request):
-        clock: Optional[BudgetClock] = None
-        budget = self._effective_budget()
-        if budget.wall_clock is not None or budget.max_ticks is not None:
-            clock = budget.start()
-        counter_add("supervisor/solves")
-        try:
-            with span("supervised-solve"):
-                outcome = run_chain(chain, request, clock)
-        except Exception as exc:
-            failed = getattr(exc, "diagnostics", None)
-            if failed:
-                self.diagnostics.extend(failed)
-                if isinstance(exc, SolverBudgetExceededError):
-                    # Record which chain step the budget/deadline cut
-                    # off -- post-mortems need the stage, not just the
-                    # fact of the timeout.
-                    self.cancelled_stage = failed[-1].stage
-                    counter_add(
-                        f"supervisor/cancelled/{failed[-1].stage}")
-            raise
-        self.diagnostics.extend(outcome.diagnostics)
-        self.last_stage = outcome.stage
-        return outcome
+
+def solve_average(mdp: MDP, reward: np.ndarray,
+                  initial_policy: Optional[np.ndarray] = None,
+                  max_iter: int = 1000,
+                  budget: Budget = UNLIMITED) -> ChainResult:
+    """Maximize an average reward through :data:`AVERAGE_CHAIN`; the
+    result is an :class:`~repro.mdp.policy_iteration.\
+AverageRewardSolution`."""
+    _check_mdp(mdp)
+    reward = np.asarray(reward, dtype=float)
+    if not np.all(np.isfinite(reward)):
+        raise SolverInputError(
+            "combined reward array contains non-finite values")
+    request = AverageRequest(mdp=mdp, reward=reward,
+                             initial_policy=initial_policy,
+                             max_iter=max_iter)
+    outcome = _run(AVERAGE_CHAIN, request, budget)
+    if not np.isfinite(outcome.result.gain):
+        raise SolverDivergedError(
+            f"average-reward solve returned non-finite gain "
+            f"{outcome.result.gain!r}")
+    _check_policy(mdp, outcome.result.policy,
+                  f"average stage {outcome.stage!r}")
+    return outcome
+
+
+def _run(chain, request, budget: Budget) -> ChainResult:
+    clock = None if budget == UNLIMITED else budget.start()
+    counter_add("supervisor/solves")
+    try:
+        with span("supervised-solve"):
+            return run_chain(chain, request, clock)
+    except SolverBudgetExceededError as exc:
+        # Record which chain step the budget cut off -- post-mortems
+        # need the stage, not just the fact of the timeout.
+        failed = getattr(exc, "diagnostics", None)
+        if failed:
+            counter_add(f"supervisor/cancelled/{failed[-1].stage}")
+        raise

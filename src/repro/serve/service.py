@@ -186,10 +186,9 @@ def default_solve_backend(request: SolveRequest, deadline: Deadline):
     cooperative budget expires.
     """
     from repro.runtime.parallel import SolveTask, execute_task
-    budget = deadline.budget()  # raises typed error when expired
     task = SolveTask(kind="analyze", key=("serve",),
                      config=request.config, model=request.model,
-                     params=(("wall_clock", budget.wall_clock),))
+                     budget=deadline.budget())  # typed error if expired
     return execute_task(task)
 
 

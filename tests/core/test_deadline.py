@@ -82,9 +82,8 @@ def test_deadline_budget_carries_remaining_time():
     clock = FakeClock()
     deadline = Deadline.after(10.0, clock=clock)
     clock.now = 4.0
-    budget = deadline.budget(max_ticks=100)
+    budget = deadline.budget()
     assert budget.wall_clock == pytest.approx(6.0)
-    assert budget.max_ticks == 100
 
 
 def test_expired_deadline_raises_typed_error_not_zero_budget():

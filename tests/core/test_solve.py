@@ -1,5 +1,6 @@
 """Tests for the solver front-ends."""
 
+import numpy as np
 import pytest
 
 from repro.core.attack_mdp import build_attack_mdp
@@ -12,6 +13,10 @@ from repro.core.solve import (
     solve_relative_revenue,
     utility_of_policy,
 )
+from repro.errors import SolverBudgetExceededError, SolverInputError
+from repro.runtime import supervisor
+from repro.runtime.budget import Budget
+from repro.runtime.fallbacks import AVERAGE_CHAIN, RATIO_CHAIN
 
 
 def cfg(**kwargs):
@@ -50,6 +55,49 @@ def test_environment_does_not_steer_the_solve(monkeypatch):
     assert steered.solver["method"] == "dinkelbach"
     assert steered.utility == clean.utility
     assert steered.solver == clean.solver
+
+
+FIRST_STAGE = {IncentiveModel.COMPLIANT_PROFIT: "dinkelbach",
+               IncentiveModel.NONCOMPLIANT_PROFIT: "policy-iteration",
+               IncentiveModel.NON_PROFIT: "dinkelbach"}
+
+
+@pytest.mark.parametrize("model", list(IncentiveModel))
+def test_provenance_names_the_answering_stage(monkeypatch, model):
+    """``solver["method"]`` is the chain stage that answered, also for
+    the ratio models, where ``RatioSolution.method`` says
+    ``"bisection"`` for the value-iteration and LP stages."""
+    monkeypatch.setattr(supervisor, "RATIO_CHAIN", RATIO_CHAIN[2:])
+    monkeypatch.setattr(supervisor, "AVERAGE_CHAIN", AVERAGE_CHAIN[1:])
+    config = AttackConfig.from_ratio(0.10, (1, 1), setting=1)
+    result = analyze(config, model)
+    assert result.solver["method"] == "value-iteration"
+    exact = utility_of_policy(result.policy.mdp,
+                              result.policy.action_indices,
+                              model)
+    assert result.utility == pytest.approx(exact, abs=1e-5)
+
+
+@pytest.mark.parametrize("model", list(IncentiveModel))
+def test_budget_bounds_every_solve(model):
+    """Every solve runs under the budget it is given; the error names
+    the chain stage it cut off."""
+    with pytest.raises(SolverBudgetExceededError) as info:
+        analyze(cfg(), model, budget=Budget(max_ticks=1))
+    assert info.value.diagnostics[-1].stage == FIRST_STAGE[model]
+
+
+def test_nonfinite_reward_is_an_input_error():
+    """A NaN reward is rejected before any solver runs, for the ratio
+    and the average-reward model alike."""
+    config = AttackConfig.from_ratio(0.25, (2, 3), setting=1)
+    mdp = build_attack_mdp(config, cache=False)
+    action, state = np.argwhere(mdp.available)[0]
+    mdp.rewards["alice"][action, state] = np.nan
+    with pytest.raises(SolverInputError, match="alice"):
+        solve_relative_revenue(config, mdp)
+    with pytest.raises(SolverInputError, match="alice"):
+        solve_absolute_reward(config, mdp)
 
 
 def test_prebuilt_mdp_reused():

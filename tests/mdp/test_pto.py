@@ -74,23 +74,12 @@ def test_pto_records_transformed_solves_in_solution():
 
 def test_pto_strict_degenerate_policy_raises():
     """Warm-started on the zero-denominator policy, the terminated
-    system is exactly singular; strict PTO must say so."""
+    system is exactly singular; PTO must say so."""
     mdp = always_wait_mdp()
     idle = np.array([mdp.action_index("idle")])
     with pytest.raises(SolverError, match="singular"):
         maximize_ratio(mdp, {"num": 1.0}, {"den": 1.0}, lo=0.0, hi=10.0,
-                       method="pto", initial_policy=idle, strict=True)
-
-
-def test_pto_falls_back_on_degeneracy():
-    """Non-strict PTO falls through to the classical methods and still
-    answers 0.5."""
-    mdp = always_wait_mdp()
-    idle = np.array([mdp.action_index("idle")])
-    sol = maximize_ratio(mdp, {"num": 1.0}, {"den": 1.0}, lo=0.0, hi=10.0,
-                         method="pto", initial_policy=idle)
-    assert sol.method in ("dinkelbach", "bisection")
-    assert sol.value == pytest.approx(0.5, abs=1e-5)
+                       method="pto", initial_policy=idle)
 
 
 def test_pto_rejects_negative_denominator():
@@ -118,8 +107,7 @@ def test_pto_small_scale_denominator():
     den channels are legitimate, not degenerate."""
     mdp = tiny_denominator_mdp()
     sol = maximize_ratio(mdp, {"num": 1.0}, {"den": 1.0},
-                         lo=0.0, hi=5e10, tol=1e-9, method="pto",
-                         strict=True)
+                         lo=0.0, hi=5e10, tol=1e-9, method="pto")
     assert sol.method == "pto"
     assert sol.value == pytest.approx(1.5e10, rel=1e-9)
     assert mdp.actions[sol.policy[0]] == "b"

@@ -140,14 +140,13 @@ def test_nonfinite_gains_raise_with_rho():
 
 def test_strict_dinkelbach_flags_degenerate_policy():
     """Warm-started on the zero-denominator policy with ``lo`` at the
-    optimum, strict Dinkelbach cannot make progress and must say so
-    instead of silently returning the bracket edge."""
+    optimum, Dinkelbach cannot make progress and must say so instead
+    of silently returning the bracket edge."""
     mdp = always_wait_mdp()
     idle = np.array([mdp.action_index("idle")])
     with pytest.raises(SolverError, match="degenerate"):
         maximize_ratio(mdp, {"num": 1.0}, {"den": 1.0}, lo=0.5, hi=10.0,
-                       method="dinkelbach", initial_policy=idle,
-                       strict=True)
+                       method="dinkelbach", initial_policy=idle)
 
 
 def tiny_denominator_mdp():
@@ -163,25 +162,15 @@ def tiny_denominator_mdp():
 def test_dinkelbach_accepts_small_scale_denominator():
     """Regression: the degeneracy floor used to be absolute (1e-9), so
     every policy of this model -- whose denominator rates are simply
-    small, not degenerate -- was misclassified and strict Dinkelbach
-    raised.  The floor is now relative to ``max|r_den|``."""
+    small, not degenerate -- was misclassified and Dinkelbach raised.
+    The floor is now relative to ``max|r_den|``."""
     mdp = tiny_denominator_mdp()
     sol = maximize_ratio(mdp, {"num": 1.0}, {"den": 1.0},
                          lo=0.0, hi=5e10, tol=1e-9,
-                         method="dinkelbach", strict=True)
+                         method="dinkelbach")
     assert sol.method == "dinkelbach"
     assert sol.value == pytest.approx(1.5e10, rel=1e-9)
     assert mdp.actions[sol.policy[0]] == "b"
-
-
-def test_dinkelbach_does_not_fall_back_on_small_scales():
-    """Regression: non-strict Dinkelbach used to silently bail out to
-    bisection on the same misclassification."""
-    mdp = tiny_denominator_mdp()
-    sol = maximize_ratio(mdp, {"num": 1.0}, {"den": 1.0},
-                         lo=0.0, hi=5e10, tol=1e-9)
-    assert sol.method == "dinkelbach"
-    assert sol.value == pytest.approx(1.5e10, rel=1e-9)
 
 
 @pytest.mark.parametrize("method", ["dinkelbach", "bisection", "pto"])

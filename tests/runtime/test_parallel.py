@@ -7,8 +7,8 @@ from repro.analysis.sweeps import sweep_attack
 from repro.core.config import AttackConfig
 from repro.core.incentives import IncentiveModel
 from repro.core.solve import analyze
-from repro.errors import ReproError
-from repro.runtime import Journal, SweepRunner
+from repro.errors import ReproError, SolverBudgetExceededError
+from repro.runtime import Budget, Journal, SweepRunner
 from repro.runtime.parallel import SolveTask, execute_task, run_cells
 
 
@@ -160,19 +160,22 @@ def test_validate_seed_tasks_execute():
     assert run_cells([task], workers=1) == [payload]
 
 
+def test_analyze_task_runs_under_its_budget():
+    task = SolveTask(kind="analyze", key=("budget",),
+                     config=AttackConfig.from_ratio(0.25, (2, 3)),
+                     model=IncentiveModel.COMPLIANT_PROFIT,
+                     budget=Budget(max_ticks=1))
+    with pytest.raises(SolverBudgetExceededError) as info:
+        execute_task(task)
+    assert info.value.diagnostics[-1].stage == "dinkelbach"
+
+
 def test_table2_parallel_matches_serial():
     kwargs = dict(setting=1, alphas=(0.10,), ratios=((1, 1), (1, 2)))
     serial = tables.table2(**kwargs)
     parallel = tables.table2(workers=2, **kwargs)
     assert parallel.cells == serial.cells
     assert parallel.paper == serial.paper
-
-
-def test_supervised_table_refuses_parallel():
-    from repro.runtime import SolverSupervisor
-    with pytest.raises(ReproError):
-        tables.table2(setting=1, alphas=(0.10,), ratios=((1, 1),),
-                      supervisor=SolverSupervisor(), workers=2)
 
 
 def test_sweep_cells_solve_their_own_config(tmp_path):

@@ -22,6 +22,18 @@ def test_attack_orphans_model(capsys):
     assert "1.7746" in out
 
 
+def test_attack_timeout(capsys):
+    """A generous ``--timeout`` prints exactly what an unbounded run
+    prints; one that cannot be met exits 2 with the typed error."""
+    argv = ["attack", "--alpha", "0.25", "--ratio", "2:3"]
+    assert main(argv) == 0
+    unbounded = capsys.readouterr().out
+    assert main(argv + ["--timeout", "600"]) == 0
+    assert capsys.readouterr().out == unbounded
+    assert main(argv + ["--timeout", "1e-9"]) == 2
+    assert "error: wall-clock budget exhausted" in capsys.readouterr().err
+
+
 def test_bad_ratio_reports_error(capsys):
     code = main(["attack", "--ratio", "nonsense"])
     err = capsys.readouterr().err

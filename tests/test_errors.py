@@ -87,10 +87,10 @@ class TestEveryErrorIsRaisedByTheLibrary:
             maximize_ratio(self._ratio_mdp(), {}, {"den": 1.0},
                            lo=0.0, hi=1.0)
 
-    def test_solver_diverged_error(self):
+    def test_solver_diverged_error(self, monkeypatch):
         import numpy as np
 
-        from repro.runtime import SolverSupervisor
+        from repro.runtime import supervisor
 
         class FakeSolution:
             gain = np.nan
@@ -99,10 +99,9 @@ class TestEveryErrorIsRaisedByTheLibrary:
         def stage(_request, _clock):
             return FakeSolution()
 
-        supervisor = SolverSupervisor(average_chain=(("fake", stage),),
-                                      validate_inputs=False)
+        monkeypatch.setattr(supervisor, "AVERAGE_CHAIN", (("fake", stage),))
         with pytest.raises(errors.SolverDivergedError):
-            supervisor.solve_average(self._ratio_mdp(), np.zeros(1))
+            supervisor.solve_average(self._ratio_mdp(), np.zeros((1, 1)))
 
     def test_solver_budget_exceeded_error(self):
         from repro.runtime import Budget
